@@ -1,10 +1,12 @@
 """Three routes to the same safe input.
 
-One scalar instance solved by the exact interval projection, the cone
-program over (u, q), and the positive/negative channel split. All three
-must land on the same u; the cone routes additionally carry the epigraph
-variable with 2q = ||u||^2 at the optimum. A second, two-channel instance
-shows where the closed form stops applying and the cone program takes over.
+One scalar instance solved by the exact interval projection, the ball
+route and the positive/negative channel split. All three must land on
+the same u; the cone routes additionally report the epigraph value
+q = ||u||^2 / 2. A second, two-channel instance compares per-channel
+levels (split route) with one common level (ball route); past one
+channel both routes still solve exactly, by a prox step at the root of
+one monotone scalar function, and run no solver iterations.
 """
 
 import numpy as np

@@ -31,7 +31,7 @@ from .sectors import (
     saturation_in_sector,
     time_varying_gain,
 )
-from .sim import Adversary, Scenario
+from .sim import SIM_FILTER_MODES, Adversary, Scenario
 from .vehicle import VehicleParams, lateral_dynamics, lqr_controller, obstacle_barrier
 from . import vehicle as _vehicle
 
@@ -179,7 +179,7 @@ def _build_scenario(values: dict, name: str) -> Scenario:
     except ValueError as exc:
         raise ConfigError(f"controller: {exc}") from None
     filter_mode = _get(values, "controller", "filter_mode")
-    _require(filter_mode in ("off", "auto", "scalar", "socp", "qp"),
+    _require(filter_mode in SIM_FILTER_MODES,
              f"controller.filter_mode: unknown mode {filter_mode!r}")
     u_max = _get(values, "controller", "u_max")
     if u_max is not None:

@@ -10,13 +10,16 @@ which after minimizing over w is the second-order cone condition
 
     p + a @ u - theta * ||u|| * ||a|| >= 0.
 
-Three interchangeable routes are provided: a cone program over (u, q)
-with the rotated-cone epigraph 2q >= ||u||^2 (any input dimension), an
-exact interval projection for one input channel, and a positive/negative
-split u = u_p - u_n for per-channel uncertainty levels, which turns the
-absolute values |u_i| into the linear terms u_pi + u_ni.  All routes
-first try the baseline: when u0 already satisfies the robust constraint
-it is returned unaltered without touching a solver.
+Three interchangeable routes are provided: this ball route (any input
+dimension), an exact interval projection for one input channel, and a
+split route for per-channel levels, whose worst case decouples into
+p + a @ u - sum_i theta_i |a_i| |u_i| >= 0.  All routes first try the
+baseline: when its projection onto the input box (u0 without a box)
+meets the constraint, it is the answer.  Otherwise the cone routes take
+the exact dual root (see `_dual_root`), except the ball route with a box
+and several channels, which has no separable prox: it alone runs the
+interior-point solver on the paper's cone program (`ball_program`), the
+self-checks' independent oracle.
 
 Optionally a symmetric box |u_i| <= u_max_i restricts the input set;
 infeasibility against the box is raised as an error, never relaxed.
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -45,6 +48,7 @@ __all__ = [
     "FilterResult",
     "robust_margin",
     "channel_margin",
+    "ball_program",
     "filter_scalar",
     "filter_socp",
     "filter_qp_channels",
@@ -80,10 +84,12 @@ class FilterResult:
         margin: Robust constraint value at u; >= -1e-8 on success.
         altered: Whether u differs from the baseline beyond tolerance.
         status: Solver status ("optimal" on every non-raising path).
-        iterations: Interior-point iterations spent (0 for closed forms).
-        q_star: Epigraph variable of the cone routes, 2*q_star == ||u||^2
-            at the optimum; None for the interval route.
-        u_pos, u_neg: Split variables of the per-channel route, else None.
+        iterations: Interior-point iterations spent; 0 on the exact paths,
+            all but the ball route with a box and several channels.
+        q_star: Epigraph value of the cone routes, 2*q_star == ||u||^2;
+            None for the interval route.
+        u_pos, u_neg: Split variables of the per-channel route,
+            u_pos = max(u, 0) and u_neg = max(-u, 0); else None.
     """
 
     u: np.ndarray
@@ -139,23 +145,110 @@ def _box(u_max, m: int) -> Optional[np.ndarray]:
     return ub
 
 
-def _in_box(u: np.ndarray, ub: Optional[np.ndarray]) -> bool:
-    return ub is None or bool(np.all(np.abs(u) <= ub))
-
-
-def _degenerate(p: float, u0: np.ndarray, ub: Optional[np.ndarray],
-                with_q: bool) -> FilterResult:
-    # a == 0: no input moves the constraint, so it either already holds or
-    # cannot be met at all
-    if p < 0.0:
+def _baseline(p: float, a: np.ndarray, u0: np.ndarray, ub: Optional[np.ndarray],
+              margin: Callable[[np.ndarray], float]) -> Optional[np.ndarray]:
+    """Box projection of u0 (the answer: the box holds the feasible set)
+    when it meets the robust constraint, else None.  With a = 0 no input
+    moves the constraint, so it either holds here or cannot be met."""
+    u = u0.copy() if ub is None else np.clip(u0, -ub, ub)
+    if margin(u) >= 0.0:
+        return u
+    if not a.any():
         raise InfeasibleError(
             f"input direction vanished (a = 0) with negative drift term p = {p}",
             degenerate=True)
-    u = u0 if ub is None else np.clip(u0, -ub, ub)
-    return FilterResult(
-        u=u.copy(), w_star=np.zeros(u.size), margin=p,
-        altered=bool(np.linalg.norm(u - u0) > TOL_FEAS), status=STATUS_OPTIMAL,
-        iterations=0, q_star=0.5 * float(u @ u) if with_q else None)
+    return None
+
+
+def _ball_worst_case(u: np.ndarray, a: np.ndarray, theta: float) -> np.ndarray:
+    return worst_case_input(u, a, theta) if a.any() else np.zeros(u.size)
+
+
+def _dual_root(p: float, a: np.ndarray, u0: np.ndarray, theta, ub: Optional[np.ndarray],
+               margin: Callable[[np.ndarray], float], ball: bool) -> np.ndarray:
+    """Exact answer of a cone route whose box-projected baseline fails.
+
+    u(lam) = shrink(u0 + lam * a) minimizes ||u - u0||^2 / 2 - lam * margin(u)
+    over the input set, so g(lam) = margin(u(lam)), minus the derivative of
+    the concave dual, is continuous and nondecreasing.  shrink is block
+    (ball) or per-channel (split) soft thresholding, then the box clip,
+    exact as the split penalty and the box are separable; the ball route
+    has a box here only for one channel, where the penalties coincide.
+    The root is bracketed by doubling from -g(0)/||a||^2, refined by
+    Illinois regula falsi to a relative width of 1e-15 and taken at the
+    bracket's upper end, where g >= 0: the margin is certified.
+    """
+    load = theta * np.abs(a)
+    kappa = theta * float(np.linalg.norm(a))
+    # the best margin in the box: each channel at its bound along a_i
+    if ub is not None and p + float((np.abs(a) - load) @ ub) < 0.0:
+        raise InfeasibleError(
+            f"no input within the box satisfies the robust constraint (p={p})")
+
+    def shrink(lam):
+        v = u0 + lam * a
+        if ball:
+            norm_v = float(np.linalg.norm(v))
+            u = v * max(0.0, 1.0 - lam * kappa / norm_v) if norm_v > 0.0 else v
+        else:
+            u = np.sign(v) * np.maximum(np.abs(v) - lam * load, 0.0)
+        return u if ub is None else np.clip(u, -ub, ub)
+
+    lo, glo = 0.0, margin(shrink(0.0))
+    hi = max(-glo / max(float(a @ a), 1e-300), 1e-300)
+    while not (ghi := margin(u := shrink(hi))) >= 0.0:  # NaN (overflow) is unmet
+        if hi > 1e300:
+            raise InfeasibleError("no multiplier meets the robust constraint")
+        lo, glo, hi = hi, ghi, 2.0 * hi
+    side = 0
+    for _ in range(200):  # a bound only: 1e-15 is reached far sooner
+        if ghi == 0.0 or hi - lo <= 1e-15 * hi:
+            break
+        lam = (lo * ghi - hi * glo) / (ghi - glo)
+        if not lo < lam < hi:
+            lam = 0.5 * (lo + hi)
+        v = shrink(lam)
+        g = margin(v)
+        if g < 0.0:
+            lo, glo = lam, g
+            if side < 0:
+                ghi *= 0.5
+            side = -1
+        else:
+            hi, ghi, u = lam, g, v
+            if side > 0:
+                glo *= 0.5
+            side = 1
+    return u
+
+
+def ball_program(p: float, a: np.ndarray, u0: np.ndarray, theta: float,
+                 ub: Optional[np.ndarray] = None) -> tuple[ConeProgram, np.ndarray]:
+    """(program, z0) for solve_socp: the paper's ball-route cone program.
+
+    Over z = (u, q): minimize q - u0 @ u s.t. theta*||a||*||u|| <= p + a @ u,
+    the rotated-cone epigraph ||(sqrt(2) u, q - 1)|| <= q + 1, i.e.
+    2q >= ||u||^2, and the box |u_i| <= ub_i if given.  The start hint
+    z0 lies along a != 0, where the margin grows at rate (1-theta)*||a||.
+    """
+    m = a.size
+    n = m + 1
+    norm_a = float(np.linalg.norm(a))
+    span = np.hstack([np.eye(m), np.zeros((m, 1))])
+    e_q = np.eye(n)[m]
+    blocks = [
+        SocBlock(theta * norm_a * span, np.zeros(m), np.concatenate([a, [0.0]]), p),
+        SocBlock(np.vstack([math.sqrt(2.0) * span, e_q[None, :]]),
+                 np.concatenate([np.zeros(m), [-1.0]]), e_q, 1.0),
+    ]
+    if ub is not None:
+        for i in range(m):
+            blocks += [SocBlock(np.zeros((0, n)), np.zeros(0), sign * span[i],
+                                float(ub[i])) for sign in (-1.0, 1.0)]
+    prog = ConeProgram(c=np.concatenate([-u0, [1.0]]), blocks=tuple(blocks), n_vars=n)
+    reach = (1.0 + max(0.0, -p)) / ((1.0 - theta) * norm_a)
+    u_hint = reach * a / norm_a
+    return prog, np.concatenate([u_hint, [0.5 * float(u_hint @ u_hint) + 1.0]])
 
 
 def filter_scalar(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS) -> FilterResult:
@@ -171,115 +264,73 @@ def filter_scalar(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS) -> FilterR
     if a.size != 1:
         raise ValueError(f"interval route needs one channel, got {a.size}")
     ub = _box(u_max, 1)
-    if a[0] == 0.0:
-        return _degenerate(p, u0, ub, with_q=False)
-    if robust_margin(p, a, u0, theta) >= 0.0 and _in_box(u0, ub):
-        return FilterResult(u=u0.copy(), w_star=worst_case_input(u0, a, theta),
-                            margin=robust_margin(p, a, u0, theta), altered=False,
-                            status=STATUS_OPTIMAL, iterations=0)
-    av, uv = float(a[0]), float(u0[0])
-    lo_slope = -p / ((1.0 - theta) * av)  # binds where sign(u) == sign(a)
-    hi_slope = -p / ((1.0 + theta) * av)
-    if av > 0.0:
-        u_l = max(lo_slope, hi_slope)
-        hi = math.inf if ub is None else float(ub[0])
-        if u_l > hi:
-            raise InfeasibleError(
-                f"feasible interval [{u_l}, inf) lies outside the bound {hi}")
-        lo = u_l if ub is None else max(u_l, -float(ub[0]))
-        u_new = min(max(uv, lo), hi)
-    else:
-        u_h = min(lo_slope, hi_slope)
-        lo = -math.inf if ub is None else -float(ub[0])
-        if u_h < lo:
-            raise InfeasibleError(
-                f"feasible interval (-inf, {u_h}] lies outside the bound {lo}")
-        hi = u_h if ub is None else min(u_h, float(ub[0]))
-        u_new = max(min(uv, hi), lo)
-    u = np.array([u_new])
-    return FilterResult(u=u, w_star=worst_case_input(u, a, theta),
+    u = _baseline(p, a, u0, ub, lambda v: robust_margin(p, a, v, theta))
+    if u is None:
+        av, uv = float(a[0]), float(u0[0])
+        lo_slope = -p / ((1.0 - theta) * av)  # binds where sign(u) == sign(a)
+        hi_slope = -p / ((1.0 + theta) * av)
+        if av > 0.0:
+            u_l = max(lo_slope, hi_slope)
+            hi = math.inf if ub is None else float(ub[0])
+            if u_l > hi:
+                raise InfeasibleError(
+                    f"feasible interval [{u_l}, inf) lies outside the bound {hi}")
+            lo = u_l if ub is None else max(u_l, -float(ub[0]))
+            u_new = min(max(uv, lo), hi)
+        else:
+            u_h = min(lo_slope, hi_slope)
+            lo = -math.inf if ub is None else -float(ub[0])
+            if u_h < lo:
+                raise InfeasibleError(
+                    f"feasible interval (-inf, {u_h}] lies outside the bound {lo}")
+            hi = u_h if ub is None else min(u_h, float(ub[0]))
+            u_new = max(min(uv, hi), lo)
+        u = np.array([u_new])
+    return FilterResult(u=u, w_star=_ball_worst_case(u, a, theta),
                         margin=robust_margin(p, a, u, theta),
-                        altered=bool(abs(u_new - uv) > tol),
+                        altered=bool(abs(u[0] - u0[0]) > tol),
                         status=STATUS_OPTIMAL, iterations=0)
-
-
-def _epigraph_rows(m: int, n: int) -> SocBlock:
-    # ||(sqrt(2) u, q - 1)|| <= q + 1  <=>  2 q >= ||u||^2, q >= 0
-    A = np.zeros((m + 1, n))
-    A[:m, :m] = math.sqrt(2.0) * np.eye(m)
-    A[m, n - 1] = 1.0
-    b = np.zeros(m + 1)
-    b[m] = -1.0
-    d = np.zeros(n)
-    d[n - 1] = 1.0
-    return SocBlock(A, b, d, 1.0)
-
-
-def _box_blocks(ub: np.ndarray, span: np.ndarray, n: int) -> list:
-    # span maps decision variables to u; emit +-u_i <= ub_i
-    out = []
-    empty = np.zeros((0, n))
-    none = np.zeros(0)
-    for i in range(ub.size):
-        out.append(SocBlock(empty, none, -span[i], float(ub[i])))
-        out.append(SocBlock(empty, none, span[i], float(ub[i])))
-    return out
 
 
 def filter_socp(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS,
                 max_iter: int = 100) -> FilterResult:
-    """Cone-program filter over (u, q): minimize q - u0 @ u subject to
-    theta*||a||*||u|| <= p + a @ u and the epigraph 2q >= ||u||^2."""
+    """Ball-route filter: minimize ||u - u0|| s.t. theta*||a||*||u|| <= p + a @ u
+    (and the box).  Exact by the dual root, except with a box and several
+    channels: there the interior-point solver runs on `ball_program`,
+    capped at max_iter iterations."""
     p, a, u0 = _validate(p, a, u0)
     theta = _scalar_theta(theta)
     m = a.size
     ub = _box(u_max, m)
-    norm_a = float(np.linalg.norm(a))
-    if norm_a == 0.0:
-        return _degenerate(p, u0, ub, with_q=True)
-    if robust_margin(p, a, u0, theta) >= 0.0 and _in_box(u0, ub):
-        return FilterResult(u=u0.copy(), w_star=worst_case_input(u0, a, theta),
-                            margin=robust_margin(p, a, u0, theta), altered=False,
-                            status=STATUS_OPTIMAL, iterations=0,
-                            q_star=0.5 * float(u0 @ u0))
-    n = m + 1
-    c = np.concatenate([-u0, [1.0]])
-    robust = SocBlock(
-        np.hstack([theta * norm_a * np.eye(m), np.zeros((m, 1))]),
-        np.zeros(m), np.concatenate([a, [0.0]]), p)
-    blocks = [robust, _epigraph_rows(m, n)]
-    if ub is not None:
-        span = np.hstack([np.eye(m), np.zeros((m, 1))])
-        blocks += _box_blocks(ub, span, n)
-    prog = ConeProgram(c=c, blocks=tuple(blocks), n_vars=n)
-    # hint: along a the robust margin grows at rate (1-theta)*||a|| > 0
-    reach = (1.0 + max(0.0, -p)) / ((1.0 - theta) * norm_a)
-    u_hint = reach * a / norm_a
-    z0 = np.concatenate([u_hint, [0.5 * float(u_hint @ u_hint) + 1.0]])
-    res = solve_socp(prog, tol=tol, max_iter=max_iter, z0=z0)
-    if res.status == STATUS_INFEASIBLE:
-        raise InfeasibleError(
-            f"no input satisfies the robust constraint (p={p}, theta={theta}"
-            + ("" if ub is None else ", bounded inputs") + ")")
-    if res.status != STATUS_OPTIMAL:
-        raise FilterError(f"cone solver stopped with status {res.status}")
-    u = res.z[:m]
-    return FilterResult(u=u, w_star=worst_case_input(u, a, theta),
-                        margin=robust_margin(p, a, u, theta),
+
+    def margin(v):
+        return robust_margin(p, a, v, theta)
+
+    u = _baseline(p, a, u0, ub, margin)
+    iterations = 0
+    if u is None and ub is not None and m > 1:
+        prog, z0 = ball_program(p, a, u0, theta, ub)
+        res = solve_socp(prog, tol=tol, max_iter=max_iter, z0=z0)
+        if res.status == STATUS_INFEASIBLE:
+            raise InfeasibleError(f"no input satisfies the robust constraint (p={p}, "
+                                  f"theta={theta}, bounded inputs)")
+        if res.status != STATUS_OPTIMAL:
+            raise FilterError(f"cone solver stopped with status {res.status}")
+        u, iterations = res.z[:m], res.iterations
+    elif u is None:
+        u = _dual_root(p, a, u0, theta, ub, margin, ball=True)
+    return FilterResult(u=u, w_star=_ball_worst_case(u, a, theta), margin=margin(u),
                         altered=bool(np.linalg.norm(u - u0) > tol),
-                        status=res.status, iterations=res.iterations,
-                        q_star=float(res.z[m]))
+                        status=STATUS_OPTIMAL, iterations=iterations,
+                        q_star=0.5 * float(u @ u))
 
 
-def filter_qp_channels(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS,
-                       max_iter: int = 100) -> FilterResult:
-    """Per-channel filter via the split u = u_p - u_n, |u| = u_p + u_n.
-
-    The uncertainty level may differ per channel; the worst case then
-    decouples and the robust constraint becomes linear in (u_p, u_n):
-    p + sum_i a_i (u_pi - u_ni) - sum_i theta_i |a_i| (u_pi + u_ni) >= 0.
-    At any optimum one of u_pi, u_ni is zero, so u_pi + u_ni = |u_i|.
-    Channels with zero loading keep a plain free variable.
+def filter_qp_channels(p, a, u0, theta, u_max=None,
+                       tol: float = TOL_FEAS) -> FilterResult:
+    """Per-channel filter: minimize ||u - u0|| subject to
+    p + a @ u - sum_i theta_i |a_i| |u_i| >= 0 (and the box), exactly by
+    the dual root.  The level may differ per channel.  Also reports the
+    split u = u_pos - u_neg, |u| = u_pos + u_neg, with u_pos * u_neg = 0.
     """
     p, a, u0 = _validate(p, a, u0)
     m = a.size
@@ -287,71 +338,17 @@ def filter_qp_channels(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS,
     if np.any(theta_vec < 0.0) or np.any(theta_vec >= 1.0):
         raise ValueError("per-channel levels must lie in [0, 1)")
     ub = _box(u_max, m)
-    norm_a = float(np.linalg.norm(a))
-    if norm_a == 0.0:
-        return _degenerate(p, u0, ub, with_q=True)
-    margin0 = channel_margin(p, a, u0, theta_vec)
-    if margin0 >= 0.0 and _in_box(u0, ub):
-        return FilterResult(u=u0.copy(),
-                            w_star=per_channel_worst_case(u0, a, theta_vec),
-                            margin=margin0, altered=False, status=STATUS_OPTIMAL,
-                            iterations=0, q_star=0.5 * float(u0 @ u0),
-                            u_pos=np.clip(u0, 0.0, None),
-                            u_neg=np.clip(-u0, 0.0, None))
-    load = theta_vec * np.abs(a)
-    # only channels with actual loading get split; a channel with
-    # theta_i = 0 or a_i = 0 would make (u_p + t, u_n + t) a cost-free ray
-    split = np.flatnonzero(load > 0.0)
-    free = np.flatnonzero(load == 0.0)
-    ns = split.size
-    n = 2 * ns + free.size + 1
-    U = np.zeros((m, n))
-    U[split, np.arange(ns)] = 1.0
-    U[split, ns + np.arange(ns)] = -1.0
-    U[free, 2 * ns + np.arange(free.size)] = 1.0
-    e_q = np.zeros(n)
-    e_q[-1] = 1.0
-    c = -U.T @ u0 + e_q
-    spread = np.zeros(n)
-    spread[:ns] = load[split]
-    spread[ns:2 * ns] = load[split]
-    safety = SocBlock(np.zeros((0, n)), np.zeros(0), U.T @ a - spread, p)
-    epi = SocBlock(np.vstack([math.sqrt(2.0) * U, e_q[None, :]]),
-                   np.concatenate([np.zeros(m), [-1.0]]), e_q, 1.0)
-    blocks = [safety, epi]
-    empty = np.zeros((0, n))
-    none = np.zeros(0)
-    for i in range(2 * ns):
-        sign_row = np.zeros(n)
-        sign_row[i] = 1.0
-        blocks.append(SocBlock(empty, none, sign_row, 0.0))
-    if ub is not None:
-        blocks += _box_blocks(ub, U, n)
-    prog = ConeProgram(c=c, blocks=tuple(blocks), n_vars=n)
-    theta_max = float(np.max(theta_vec))
-    reach = (1.0 + max(0.0, -p)) / ((1.0 - theta_max) * norm_a)
-    u_hint = reach * a / norm_a
-    pad = min(1.0, 1.0 / (4.0 * float(np.sum(load)) + 1.0))
-    z0 = np.concatenate([np.clip(u_hint[split], 0.0, None) + pad,
-                         np.clip(-u_hint[split], 0.0, None) + pad,
-                         u_hint[free],
-                         [0.5 * float(u_hint @ u_hint) + 1.0]])
-    res = solve_socp(prog, tol=tol, max_iter=max_iter, z0=z0)
-    if res.status == STATUS_INFEASIBLE:
-        raise InfeasibleError(
-            f"no input satisfies the per-channel robust constraint (p={p})")
-    if res.status != STATUS_OPTIMAL:
-        raise FilterError(f"cone solver stopped with status {res.status}")
-    u = U @ res.z
-    u_pos = np.clip(u, 0.0, None)
-    u_neg = np.clip(-u, 0.0, None)
-    u_pos[split] = res.z[:ns]
-    u_neg[split] = res.z[ns:2 * ns]
+
+    def margin(v):
+        return channel_margin(p, a, v, theta_vec)
+
+    u = _baseline(p, a, u0, ub, margin)
+    if u is None:
+        u = _dual_root(p, a, u0, theta_vec, ub, margin, ball=False)
     return FilterResult(u=u, w_star=per_channel_worst_case(u, a, theta_vec),
-                        margin=channel_margin(p, a, u, theta_vec),
-                        altered=bool(np.linalg.norm(u - u0) > tol),
-                        status=res.status, iterations=res.iterations,
-                        q_star=float(res.z[-1]), u_pos=u_pos, u_neg=u_neg)
+                        margin=margin(u), altered=bool(np.linalg.norm(u - u0) > tol),
+                        status=STATUS_OPTIMAL, iterations=0, q_star=0.5 * float(u @ u),
+                        u_pos=np.clip(u, 0.0, None), u_neg=np.clip(-u, 0.0, None))
 
 
 def filter_auto(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS,
@@ -359,7 +356,8 @@ def filter_auto(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS,
     """Dispatch to the fitting route.
 
     Per-channel theta (any array) goes to the split route; otherwise one
-    channel uses the exact interval and several use the cone program.
+    channel uses the exact interval and several use the ball route, whose
+    boxed case alone reads max_iter.
     """
     if mode not in FILTER_MODES:
         raise ValueError(f"unknown filter mode {mode!r}")
@@ -372,5 +370,4 @@ def filter_auto(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS,
         return filter_scalar(p, a, u0, theta, u_max=u_max, tol=tol)
     if mode == "socp":
         return filter_socp(p, a, u0, theta, u_max=u_max, tol=tol, max_iter=max_iter)
-    return filter_qp_channels(p, a, u0, theta, u_max=u_max, tol=tol,
-                              max_iter=max_iter)
+    return filter_qp_channels(p, a, u0, theta, u_max=u_max, tol=tol)

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .barriers import Barrier, Dynamics, barrier_terms, gradient, input_direction_defect
-from .filters import InfeasibleError, filter_auto, robust_margin
+from .filters import FILTER_MODES, InfeasibleError, filter_auto, robust_margin
 from .sectors import (
     NormalizedUncertainty,
     SectorBound,
@@ -50,7 +50,7 @@ __all__ = [
 TOL_SAFE = 1e-3
 
 ADVERSARY_KINDS = ("nominal", "worst_case", "scripted")
-SIM_FILTER_MODES = ("off", "auto", "scalar", "socp", "qp")
+SIM_FILTER_MODES = ("off",) + FILTER_MODES
 
 
 class SimulationError(RuntimeError):

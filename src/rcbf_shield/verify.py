@@ -13,7 +13,13 @@ from typing import Callable, List
 
 import numpy as np
 
-from .filters import filter_auto, filter_qp_channels, filter_scalar, filter_socp
+from .filters import (
+    ball_program,
+    filter_auto,
+    filter_qp_channels,
+    filter_scalar,
+    filter_socp,
+)
 from .sectors import (
     NormalizedUncertainty,
     optimal_multiplier,
@@ -21,6 +27,7 @@ from .sectors import (
     worst_case_oracle,
 )
 from .sim import simulate, step_rk4
+from .socp import STATUS_OPTIMAL, solve_socp
 from .vehicle import X0, lateral_dynamics
 
 __all__ = [
@@ -111,24 +118,40 @@ def _scalar_instances(rng: np.random.Generator, n: int):
 
 
 def check_route_agreement(n_instances: int = 1000) -> CheckResult:
-    """Closed form, cone program, and channel split must agree on m=1."""
+    """Every route against the interior-point solver on the paper's program.
+
+    On m = 1 the interval, ball and split routes must all match the
+    solver; n_instances // 10 more instances with m = 2..3 check the ball
+    route.  The solver's own epigraph must be tight, 2q = ||u||^2.
+    """
     rng = np.random.default_rng(13)
+    cases = [(p, a, theta, u0, (filter_scalar(p, a, u0, theta),
+                                filter_socp(p, a, u0, theta),
+                                filter_qp_channels(p, a, u0, np.array([theta]))))
+             for p, a, theta, u0 in _scalar_instances(rng, n_instances)]
+    for _ in range(n_instances // 10):
+        m = int(rng.integers(2, 4))
+        p = rng.uniform(-5.0, 5.0)
+        a = _random_direction(rng, m) * rng.uniform(0.1, 10.0)
+        theta = rng.uniform(0.0, 0.9)
+        u0 = rng.uniform(-10.0, 10.0, size=m)
+        cases.append((p, a, theta, u0, (filter_socp(p, a, u0, theta),)))
     worst_u = 0.0
     worst_epi = 0.0
-    for p, a, theta, u0 in _scalar_instances(rng, n_instances):
-        r_scalar = filter_scalar(p, a, u0, theta)
-        r_socp = filter_socp(p, a, u0, theta)
-        r_qp = filter_qp_channels(p, a, u0, np.array([theta]))
-        worst_u = max(worst_u,
-                      float(np.abs(r_scalar.u - r_socp.u).max()),
-                      float(np.abs(r_scalar.u - r_qp.u).max()))
-        for res in (r_socp, r_qp):
-            if res.q_star is not None:
-                worst_epi = max(worst_epi,
-                                abs(2.0 * res.q_star - float(res.u @ res.u)))
-    ok = worst_u <= 1e-6 and worst_epi <= 1e-6
+    failed = 0
+    for p, a, theta, u0, results in cases:
+        prog, z0 = ball_program(p, a, u0, theta)
+        oracle = solve_socp(prog, z0=z0)
+        if oracle.status != STATUS_OPTIMAL:
+            failed += 1
+            continue
+        u_ref, q_ref = oracle.z[:-1], float(oracle.z[-1])
+        worst_u = max(worst_u, *(float(np.abs(r.u - u_ref).max()) for r in results))
+        worst_epi = max(worst_epi, abs(2.0 * q_ref - float(u_ref @ u_ref)))
+    ok = failed == 0 and worst_u <= 1e-6 and worst_epi <= 1e-6
     detail = (f"max route disagreement {worst_u:.3g} (bound 1e-06); "
-              f"max |2q - ||u||^2| {worst_epi:.3g} (bound 1e-06)")
+              f"max |2q - ||u||^2| {worst_epi:.3g} (bound 1e-06); "
+              f"{failed} of {len(cases)} solver runs not optimal")
     return CheckResult("route_agreement", ok, detail)
 
 

@@ -154,6 +154,23 @@ def test_infeasible_run_exits_two_but_writes(tmp_path, capsys):
     assert m is not None and int(m.group(1)) > 0
 
 
+@pytest.mark.parametrize("mode", ["socp", "qp"])
+def test_boxed_run_in_cone_modes_matches_auto(tmp_path, mode):
+    # a tight steering box: every mode must end with exit code 2 and the
+    # same counts as the interval route, not a solver traceback
+    cfg = _write(tmp_path, (
+        "[controller]\n"
+        f"filter_mode = {mode}\n"
+        "u_max = 0.05\n"
+    ), name=f"boxed_{mode}.cfg")
+    out = str(tmp_path / "run")
+    code = main(["simulate", "--config", cfg, "--horizon", "1.0", "--out", out])
+    assert code == EXIT_INFEASIBLE
+    metrics = open(os.path.join(out, "metrics.txt"), encoding="utf-8").read()
+    assert "steps_infeasible=234" in metrics.split()
+    assert "steps_altered=729" in metrics.split()
+
+
 def test_config_errors_exit_one(tmp_path, capsys):
     assert main(["simulate", "--scenario", "fig9_missing",
                  "--out", str(tmp_path)]) == EXIT_CONFIG

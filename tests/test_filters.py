@@ -179,6 +179,95 @@ def test_box_bound_cone_route():
     assert res.margin >= -1e-8
 
 
+def test_box_only_split_instance_returns_clipped_baseline():
+    # the robust constraint is slack at the clipped baseline, so the box
+    # projection of u0 is the exact answer
+    p = 0.5973975381345245
+    a = np.array([-1.0559641164152618, 0.34168764136572916, -0.5001940216960492,
+                  -0.8360703817315657, -3.3587999265767237])
+    u0 = np.array([-1.257368553308213, 2.5385835826998635, -0.8147134764277002,
+                   2.2752995032631915, -3.89208545693527])
+    theta = np.array([0.45277260927192425, 0.7989140605925743, 0.16104830611899,
+                      0.4872800923367017, 0.262139894386334])
+    u_max = 2.998345136530706
+    res = filter_qp_channels(p, a, u0, theta, u_max=u_max)
+    assert np.abs(res.u - np.clip(u0, -u_max, u_max)).max() <= 1e-12
+    assert res.margin >= 0.0
+
+
+def test_exact_routes_never_run_the_cone_solver(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the cone solver ran on an exact route")
+
+    monkeypatch.setattr("rcbf_shield.filters.solve_socp", forbidden)
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        m = int(rng.integers(1, 5))
+        p = float(rng.uniform(-5.0, 0.0))
+        a = rng.uniform(0.5, 2.0, size=m) * rng.choice([-1.0, 1.0], size=m)
+        u0 = rng.uniform(-5.0, 5.0, size=m)
+        theta = rng.uniform(0.0, 0.5, size=m)
+        results = [filter_socp(p, a, u0, float(theta[0])),
+                   filter_qp_channels(p, a, u0, theta),
+                   filter_qp_channels(p, a, u0, theta, u_max=50.0),
+                   filter_socp(p, a[:1], u0[:1], float(theta[0]), u_max=50.0)]
+        for res in results:
+            assert res.iterations == 0 and res.status == "optimal"
+            assert res.margin >= 0.0
+
+
+def _kkt_residual(p, a, u0, theta, u) -> float:
+    """Distance of u from the optimality conditions of the filter problem.
+
+    Ball (scalar theta): u - u0 = lam (a - theta ||a|| u / ||u||).  Split
+    (one level per channel): u - u0 = lam (a - theta * |a| * s) with
+    s_i = sign(u_i), or |u0_i + lam a_i| <= lam theta_i |a_i| where u_i = 0.
+    lam >= 0 is fitted by least squares; complementarity lam * margin = 0
+    enters divided by the scale, so the result is in units of u.
+    """
+    scale = max(1.0, float(np.linalg.norm(u0)), float(np.linalg.norm(u)))
+    r = u - u0
+    if np.ndim(theta) == 0:
+        moving = np.ones(u.size, dtype=bool)
+        d = a - theta * np.linalg.norm(a) * u / np.linalg.norm(u)
+        margin = robust_margin(p, a, u, theta)
+    else:
+        moving = u != 0.0
+        d = a - theta * np.abs(a) * np.sign(u)
+        margin = channel_margin(p, a, u, theta)
+    lam = 0.0
+    if np.any(r):
+        lam = float(r[moving] @ d[moving]) / float(d[moving] @ d[moving])
+    assert lam >= 0.0
+    stationarity = r - lam * d
+    resting = np.maximum(np.abs(u0 + lam * a) - lam * theta * np.abs(a), 0.0)
+    stationarity[~moving] = resting[~moving]
+    return max(float(np.linalg.norm(stationarity)), lam * margin / scale)
+
+
+def test_wide_scale_stress_corpus_is_certified_and_optimal():
+    # |a|, |u0| and |p| log-uniform over decades: the scales of the
+    # vehicle study's own constraint data
+    rng = np.random.default_rng(2109)
+    for i in range(200):
+        m = 2 + i % 4
+        a = rng.normal(size=m)
+        a *= 10.0 ** rng.uniform(0.0, 2.7) / np.linalg.norm(a)
+        u0 = rng.normal(size=m)
+        u0 *= 10.0 ** rng.uniform(-2.0, 3.5) / np.linalg.norm(u0)
+        p = 10.0 ** rng.uniform(-1.0, 6.0) * (1.0 if rng.random() < 0.25 else -1.0)
+        if i % 2:
+            theta = rng.uniform(0.05, 0.9, size=m)
+            res = filter_qp_channels(p, a, u0, theta)
+            assert channel_margin(p, a, res.u, theta) >= 0.0
+        else:
+            theta = float(rng.uniform(0.05, 0.9))
+            res = filter_socp(p, a, u0, theta)
+            assert robust_margin(p, a, res.u, theta) >= 0.0
+        scale = max(1.0, float(np.linalg.norm(u0)), float(np.linalg.norm(res.u)))
+        assert _kkt_residual(p, a, u0, theta, res.u) <= 1e-6 * scale, i
+
+
 def test_auto_dispatch():
     p, u0 = -1.0, np.array([0.0])
     a = np.array([1.0])
