@@ -6,7 +6,7 @@ the same u; the cone routes additionally report the epigraph value
 q = ||u||^2 / 2. A second, two-channel instance compares per-channel
 levels (split route) with one common level (ball route); past one
 channel both routes still solve exactly, by a prox step at the root of
-one monotone scalar function, and run no solver iterations.
+one monotone scalar function, with no cone solver.
 """
 
 import numpy as np
@@ -22,7 +22,7 @@ from rcbf_shield.filters import (
 def show(tag, res):
     q = "-" if res.q_star is None else f"{res.q_star:.9f}"
     print(f"  {tag:<8} u = {np.array2string(res.u, precision=9)}  "
-          f"margin = {res.margin:+.2e}  iters = {res.iterations:2d}  q = {q}")
+          f"margin = {res.margin:+.2e}  q = {q}")
 
 
 def main():

@@ -16,10 +16,9 @@ split route for per-channel levels, whose worst case decouples into
 p + a @ u - sum_i theta_i |a_i| |u_i| >= 0.  All routes first try the
 baseline: when its projection onto the input box (u0 without a box)
 meets the constraint, it is the answer.  Otherwise the cone routes take
-the exact dual root (see `_dual_root`), except the ball route with a box
-and several channels, which has no separable prox: it alone runs the
-interior-point solver on the paper's cone program (`ball_program`), the
-self-checks' independent oracle.
+the exact dual root (see `_dual_root`), with or without a box.  No
+filter runs the interior-point solver: it solves the paper's cone
+program only in `ball_oracle`, the self-checks' independent oracle.
 
 Optionally a symmetric box |u_i| <= u_max_i restricts the input set;
 infeasibility against the box is raised as an error, never relaxed.
@@ -34,13 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .sectors import per_channel_worst_case, worst_case_input
-from .socp import (
-    STATUS_INFEASIBLE,
-    STATUS_OPTIMAL,
-    ConeProgram,
-    SocBlock,
-    solve_socp,
-)
+from .socp import ConeProgram, SocBlock, SocpResult, solve_socp
 
 __all__ = [
     "FilterError",
@@ -48,15 +41,14 @@ __all__ = [
     "FilterResult",
     "robust_margin",
     "channel_margin",
-    "ball_program",
+    "ball_oracle",
     "filter_scalar",
     "filter_socp",
     "filter_qp_channels",
     "filter_auto",
 ]
 
-#: Feasibility tolerance shared with the cone solver; also the threshold on
-#: ||u - u0|| below which the result counts as unaltered.
+#: The threshold on ||u - u0|| below which the result counts as unaltered.
 TOL_FEAS = 1e-8
 
 FILTER_MODES = ("auto", "scalar", "socp", "qp")
@@ -83,9 +75,6 @@ class FilterResult:
         w_star: Worst admissible uncertainty at u (zero vector when theta=0).
         margin: Robust constraint value at u; >= -1e-8 on success.
         altered: Whether u differs from the baseline beyond tolerance.
-        status: Solver status ("optimal" on every non-raising path).
-        iterations: Interior-point iterations spent; 0 on the exact paths,
-            all but the ball route with a box and several channels.
         q_star: Epigraph value of the cone routes, 2*q_star == ||u||^2;
             None for the interval route.
         u_pos, u_neg: Split variables of the per-channel route,
@@ -96,8 +85,6 @@ class FilterResult:
     w_star: np.ndarray
     margin: float
     altered: bool
-    status: str
-    iterations: int
     q_star: Optional[float] = None
     u_pos: Optional[np.ndarray] = None
     u_neg: Optional[np.ndarray] = None
@@ -164,72 +151,99 @@ def _ball_worst_case(u: np.ndarray, a: np.ndarray, theta: float) -> np.ndarray:
     return worst_case_input(u, a, theta) if a.any() else np.zeros(u.size)
 
 
+def _illinois(f: Callable[[float], float], lo: float, hi: float, flo: float,
+              fhi: float) -> float:
+    """Upper end hi of a root bracket of a nondecreasing f, flo < 0 <= fhi,
+    so f(hi) >= 0: Illinois regula falsi, bisecting when the secant leaves
+    the bracket, down to a relative width of 1e-15."""
+    side = 0
+    for _ in range(200):  # a bound only: 1e-15 is reached far sooner
+        if fhi == 0.0 or hi - lo <= 1e-15 * hi:
+            break
+        x = (lo * fhi - hi * flo) / (fhi - flo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = f(x)
+        if fx < 0.0:
+            lo, flo = x, fx
+            if side < 0:
+                fhi *= 0.5
+            side = -1
+        else:
+            hi, fhi = x, fx
+            if side > 0:
+                flo *= 0.5
+            side = 1
+    return hi
+
+
 def _dual_root(p: float, a: np.ndarray, u0: np.ndarray, theta, ub: Optional[np.ndarray],
                margin: Callable[[np.ndarray], float], ball: bool) -> np.ndarray:
     """Exact answer of a cone route whose box-projected baseline fails.
 
     u(lam) = shrink(u0 + lam * a) minimizes ||u - u0||^2 / 2 - lam * margin(u)
     over the input set, so g(lam) = margin(u(lam)), minus the derivative of
-    the concave dual, is continuous and nondecreasing.  shrink is block
-    (ball) or per-channel (split) soft thresholding, then the box clip,
-    exact as the split penalty and the box are separable; the ball route
-    has a box here only for one channel, where the penalties coincide.
-    The root is bracketed by doubling from -g(0)/||a||^2, refined by
-    Illinois regula falsi to a relative width of 1e-15 and taken at the
-    bracket's upper end, where g >= 0: the margin is certified.
+    the concave dual, is continuous and nondecreasing.  shrink is the prox
+    of the penalty plus the box: per-channel (split) soft thresholding then
+    the clip, both separable; block (ball) soft thresholding, or with a box
+    clip(s * v), where s in (0, 1] is the root of the nondecreasing
+    lam*kappa - ||clip(s * v)|| * (1 - s) / s.  The root in lam is bracketed
+    by doubling from -g(0)/||a||^2 and refined by `_illinois`, so g >= 0 at
+    the answer: the margin is certified.
     """
     load = theta * np.abs(a)
-    kappa = theta * float(np.linalg.norm(a))
-    # the best margin in the box: each channel at its bound along a_i
-    if ub is not None and p + float((np.abs(a) - load) @ ub) < 0.0:
-        raise InfeasibleError(
-            f"no input within the box satisfies the robust constraint (p={p})")
+    norm_a = float(np.linalg.norm(a))
+    kappa = theta * norm_a
+    if ub is not None:
+        # the best margin in the box: each channel at its bound along a_i, or
+        # on the ball route clip(t * a), where ||clip(t * a)|| = kappa * t
+        best = np.sign(a) * ub
+        if ball and kappa > 0.0:
+            def excess(t):  # nondecreasing: ||clip(t * a)|| / t does not grow
+                return kappa - float(np.linalg.norm(np.clip(t * a, -ub, ub))) / t
+            t = float(np.linalg.norm(ub)) / kappa
+            best = np.clip(_illinois(excess, 0.0, t, kappa - norm_a, excess(t)) * a, -ub, ub)
+        if margin(best) < 0.0:
+            raise InfeasibleError(
+                f"no input within the box satisfies the robust constraint (p={p})")
 
     def shrink(lam):
         v = u0 + lam * a
-        if ball:
-            norm_v = float(np.linalg.norm(v))
-            u = v * max(0.0, 1.0 - lam * kappa / norm_v) if norm_v > 0.0 else v
-        else:
+        if not ball:
             u = np.sign(v) * np.maximum(np.abs(v) - lam * load, 0.0)
-        return u if ub is None else np.clip(u, -ub, ub)
+            return u if ub is None else np.clip(u, -ub, ub)
+        k, norm_v = lam * kappa, float(np.linalg.norm(v))
+        if norm_v <= k:
+            return np.zeros(v.size)
+        if ub is None:
+            return v * (1.0 - k / norm_v)
 
-    lo, glo = 0.0, margin(shrink(0.0))
+        def h(s):  # nondecreasing, as excess above
+            return k - float(np.linalg.norm(np.clip(s * v, -ub, ub))) * (1.0 - s) / s
+        return np.clip(_illinois(h, 0.0, 1.0, k - norm_v, k) * v, -ub, ub)
+
+    def g(lam):
+        return margin(shrink(lam))
+
+    lo, glo = 0.0, g(0.0)
     hi = max(-glo / max(float(a @ a), 1e-300), 1e-300)
-    while not (ghi := margin(u := shrink(hi))) >= 0.0:  # NaN (overflow) is unmet
+    while not (ghi := g(hi)) >= 0.0:  # NaN (overflow) is unmet
         if hi > 1e300:
             raise InfeasibleError("no multiplier meets the robust constraint")
         lo, glo, hi = hi, ghi, 2.0 * hi
-    side = 0
-    for _ in range(200):  # a bound only: 1e-15 is reached far sooner
-        if ghi == 0.0 or hi - lo <= 1e-15 * hi:
-            break
-        lam = (lo * ghi - hi * glo) / (ghi - glo)
-        if not lo < lam < hi:
-            lam = 0.5 * (lo + hi)
-        v = shrink(lam)
-        g = margin(v)
-        if g < 0.0:
-            lo, glo = lam, g
-            if side < 0:
-                ghi *= 0.5
-            side = -1
-        else:
-            hi, ghi, u = lam, g, v
-            if side > 0:
-                glo *= 0.5
-            side = 1
-    return u
+    return shrink(_illinois(g, lo, hi, glo, ghi))
 
 
-def ball_program(p: float, a: np.ndarray, u0: np.ndarray, theta: float,
-                 ub: Optional[np.ndarray] = None) -> tuple[ConeProgram, np.ndarray]:
-    """(program, z0) for solve_socp: the paper's ball-route cone program.
+def ball_oracle(p: float, a: np.ndarray, u0: np.ndarray, theta: float,
+                ub: Optional[np.ndarray] = None) -> SocpResult:
+    """The interior-point solver on the paper's ball-route cone program.
 
     Over z = (u, q): minimize q - u0 @ u s.t. theta*||a||*||u|| <= p + a @ u,
     the rotated-cone epigraph ||(sqrt(2) u, q - 1)|| <= q + 1, i.e.
-    2q >= ||u||^2, and the box |u_i| <= ub_i if given.  The start hint
-    z0 lies along a != 0, where the margin grows at rate (1-theta)*||a||.
+    2q >= ||u||^2, and the box |u_i| <= ub_i if given.  The start is u0
+    when it strictly meets the constraint and lies strictly inside the box,
+    else a point along a != 0, where the margin grows at rate
+    (1-theta)*||a||.  No filter calls it: it is the self-checks' oracle.
     """
     m = a.size
     n = m + 1
@@ -246,9 +260,11 @@ def ball_program(p: float, a: np.ndarray, u0: np.ndarray, theta: float,
             blocks += [SocBlock(np.zeros((0, n)), np.zeros(0), sign * span[i],
                                 float(ub[i])) for sign in (-1.0, 1.0)]
     prog = ConeProgram(c=np.concatenate([-u0, [1.0]]), blocks=tuple(blocks), n_vars=n)
-    reach = (1.0 + max(0.0, -p)) / ((1.0 - theta) * norm_a)
-    u_hint = reach * a / norm_a
-    return prog, np.concatenate([u_hint, [0.5 * float(u_hint @ u_hint) + 1.0]])
+    if robust_margin(p, a, u0, theta) > 0.0 and (ub is None or np.all(np.abs(u0) < ub)):
+        u_hint = u0
+    else:
+        u_hint = (1.0 + max(0.0, -p)) / ((1.0 - theta) * norm_a) * a / norm_a
+    return solve_socp(prog, z0=np.concatenate([u_hint, [0.5 * float(u_hint @ u_hint) + 1.0]]))
 
 
 def filter_scalar(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS) -> FilterResult:
@@ -288,40 +304,24 @@ def filter_scalar(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS) -> FilterR
         u = np.array([u_new])
     return FilterResult(u=u, w_star=_ball_worst_case(u, a, theta),
                         margin=robust_margin(p, a, u, theta),
-                        altered=bool(abs(u[0] - u0[0]) > tol),
-                        status=STATUS_OPTIMAL, iterations=0)
+                        altered=bool(abs(u[0] - u0[0]) > tol))
 
 
-def filter_socp(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS,
-                max_iter: int = 100) -> FilterResult:
+def filter_socp(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS) -> FilterResult:
     """Ball-route filter: minimize ||u - u0|| s.t. theta*||a||*||u|| <= p + a @ u
-    (and the box).  Exact by the dual root, except with a box and several
-    channels: there the interior-point solver runs on `ball_program`,
-    capped at max_iter iterations."""
+    (and the box), exactly by the dual root."""
     p, a, u0 = _validate(p, a, u0)
     theta = _scalar_theta(theta)
-    m = a.size
-    ub = _box(u_max, m)
+    ub = _box(u_max, a.size)
 
     def margin(v):
         return robust_margin(p, a, v, theta)
 
     u = _baseline(p, a, u0, ub, margin)
-    iterations = 0
-    if u is None and ub is not None and m > 1:
-        prog, z0 = ball_program(p, a, u0, theta, ub)
-        res = solve_socp(prog, tol=tol, max_iter=max_iter, z0=z0)
-        if res.status == STATUS_INFEASIBLE:
-            raise InfeasibleError(f"no input satisfies the robust constraint (p={p}, "
-                                  f"theta={theta}, bounded inputs)")
-        if res.status != STATUS_OPTIMAL:
-            raise FilterError(f"cone solver stopped with status {res.status}")
-        u, iterations = res.z[:m], res.iterations
-    elif u is None:
+    if u is None:
         u = _dual_root(p, a, u0, theta, ub, margin, ball=True)
     return FilterResult(u=u, w_star=_ball_worst_case(u, a, theta), margin=margin(u),
                         altered=bool(np.linalg.norm(u - u0) > tol),
-                        status=STATUS_OPTIMAL, iterations=iterations,
                         q_star=0.5 * float(u @ u))
 
 
@@ -347,17 +347,16 @@ def filter_qp_channels(p, a, u0, theta, u_max=None,
         u = _dual_root(p, a, u0, theta_vec, ub, margin, ball=False)
     return FilterResult(u=u, w_star=per_channel_worst_case(u, a, theta_vec),
                         margin=margin(u), altered=bool(np.linalg.norm(u - u0) > tol),
-                        status=STATUS_OPTIMAL, iterations=0, q_star=0.5 * float(u @ u),
+                        q_star=0.5 * float(u @ u),
                         u_pos=np.clip(u, 0.0, None), u_neg=np.clip(-u, 0.0, None))
 
 
 def filter_auto(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS,
-                max_iter: int = 100, mode: str = "auto") -> FilterResult:
+                mode: str = "auto") -> FilterResult:
     """Dispatch to the fitting route.
 
     Per-channel theta (any array) goes to the split route; otherwise one
-    channel uses the exact interval and several use the ball route, whose
-    boxed case alone reads max_iter.
+    channel uses the exact interval and several use the ball route.
     """
     if mode not in FILTER_MODES:
         raise ValueError(f"unknown filter mode {mode!r}")
@@ -369,5 +368,5 @@ def filter_auto(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS,
     if mode == "scalar":
         return filter_scalar(p, a, u0, theta, u_max=u_max, tol=tol)
     if mode == "socp":
-        return filter_socp(p, a, u0, theta, u_max=u_max, tol=tol, max_iter=max_iter)
+        return filter_socp(p, a, u0, theta, u_max=u_max, tol=tol)
     return filter_qp_channels(p, a, u0, theta, u_max=u_max, tol=tol)

@@ -14,7 +14,7 @@ from typing import Callable, List
 import numpy as np
 
 from .filters import (
-    ball_program,
+    ball_oracle,
     filter_auto,
     filter_qp_channels,
     filter_scalar,
@@ -27,7 +27,7 @@ from .sectors import (
     worst_case_oracle,
 )
 from .sim import simulate, step_rk4
-from .socp import STATUS_OPTIMAL, solve_socp
+from .socp import STATUS_OPTIMAL
 from .vehicle import X0, lateral_dynamics
 
 __all__ = [
@@ -117,17 +117,33 @@ def _scalar_instances(rng: np.random.Generator, n: int):
         yield p, a, theta, u0
 
 
+def _boxed_instances(rng: np.random.Generator, n: int):
+    # feasible by construction: with d = a / ||a||, the point t * d,
+    # t = ub / max|d_i|, lies in the box with margin p + (1 - theta) t ||a||
+    for _ in range(n):
+        m = int(rng.integers(1, 4))
+        a = _random_direction(rng, m) * rng.uniform(0.1, 10.0)
+        theta = rng.uniform(0.0, 0.9)
+        ub = np.full(m, 10.0 ** rng.uniform(-0.5, 0.5))
+        reach = ub[0] / float(np.abs(a).max() / np.linalg.norm(a))
+        p = -rng.uniform(0.1, 0.9) * (1.0 - theta) * reach * float(np.linalg.norm(a))
+        u0 = ub * rng.uniform(-3.0, 3.0, size=m)
+        yield p, a, theta, u0, ub
+
+
 def check_route_agreement(n_instances: int = 1000) -> CheckResult:
     """Every route against the interior-point solver on the paper's program.
 
     On m = 1 the interval, ball and split routes must all match the
     solver; n_instances // 10 more instances with m = 2..3 check the ball
-    route.  The solver's own epigraph must be tight, 2q = ||u||^2.
+    route, and n_instances // 10 boxed ones with m = 1..3 check all three
+    routes (m = 1) or the ball route under the box.  The solver's own
+    epigraph must be tight, 2q = ||u||^2.
     """
     rng = np.random.default_rng(13)
-    cases = [(p, a, theta, u0, (filter_scalar(p, a, u0, theta),
-                                filter_socp(p, a, u0, theta),
-                                filter_qp_channels(p, a, u0, np.array([theta]))))
+    cases = [(p, a, theta, u0, None, (filter_scalar(p, a, u0, theta),
+                                      filter_socp(p, a, u0, theta),
+                                      filter_qp_channels(p, a, u0, np.array([theta]))))
              for p, a, theta, u0 in _scalar_instances(rng, n_instances)]
     for _ in range(n_instances // 10):
         m = int(rng.integers(2, 4))
@@ -135,13 +151,18 @@ def check_route_agreement(n_instances: int = 1000) -> CheckResult:
         a = _random_direction(rng, m) * rng.uniform(0.1, 10.0)
         theta = rng.uniform(0.0, 0.9)
         u0 = rng.uniform(-10.0, 10.0, size=m)
-        cases.append((p, a, theta, u0, (filter_socp(p, a, u0, theta),)))
+        cases.append((p, a, theta, u0, None, (filter_socp(p, a, u0, theta),)))
+    for p, a, theta, u0, ub in _boxed_instances(rng, n_instances // 10):
+        results = (filter_socp(p, a, u0, theta, u_max=ub),)
+        if a.size == 1:
+            results += (filter_scalar(p, a, u0, theta, u_max=ub),
+                        filter_qp_channels(p, a, u0, np.array([theta]), u_max=ub))
+        cases.append((p, a, theta, u0, ub, results))
     worst_u = 0.0
     worst_epi = 0.0
     failed = 0
-    for p, a, theta, u0, results in cases:
-        prog, z0 = ball_program(p, a, u0, theta)
-        oracle = solve_socp(prog, z0=z0)
+    for p, a, theta, u0, ub, results in cases:
+        oracle = ball_oracle(p, a, u0, theta, ub)
         if oracle.status != STATUS_OPTIMAL:
             failed += 1
             continue

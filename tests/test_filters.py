@@ -28,7 +28,6 @@ def test_feasible_baseline_returned_unaltered():
     for route in (filter_scalar, filter_socp):
         res = route(p, a, u0, 0.3)
         assert not res.altered
-        assert res.iterations == 0
         assert np.array_equal(res.u, u0)
     res = filter_qp_channels(p, a, u0, np.array([0.3]))
     assert not res.altered and np.array_equal(res.u, u0)
@@ -179,6 +178,15 @@ def test_box_bound_cone_route():
     assert res.margin >= -1e-8
 
 
+def test_infeasible_boxed_ball_instance_raises_infeasible():
+    # the best margin in the box, at clip(t * a), is about -5.34
+    with pytest.raises(InfeasibleError):
+        filter_socp(-5.542674796167171,
+                    np.array([-1.1169477397595844, 0.0694000696209158]),
+                    np.array([-0.25959683055585825, 0.9390790605230682]),
+                    0.8808730959700994, u_max=1.513503348106984)
+
+
 def test_box_only_split_instance_returns_clipped_baseline():
     # the robust constraint is slack at the clipped baseline, so the box
     # projection of u0 is the exact answer
@@ -212,8 +220,28 @@ def test_exact_routes_never_run_the_cone_solver(monkeypatch):
                    filter_qp_channels(p, a, u0, theta, u_max=50.0),
                    filter_socp(p, a[:1], u0[:1], float(theta[0]), u_max=50.0)]
         for res in results:
-            assert res.iterations == 0 and res.status == "optimal"
             assert res.margin >= 0.0
+        # the interval formula is certified to the filters' -1e-8 only
+        assert filter_scalar(p, a[:1], u0[:1], float(theta[0])).margin >= -1e-8
+    # the ball route under a box, feasible by construction: the point
+    # t * a / ||a|| with t = u_max / max|a_i / ||a|||, on the box, has margin
+    # p + (1 - theta) t ||a||.  The box binds wherever the unboxed answer
+    # leaves it.
+    binding = 0
+    for m in (2, 3, 4):
+        for _ in range(10):
+            a = rng.normal(size=m)
+            theta = float(rng.uniform(0.0, 0.8))
+            u_max = float(rng.uniform(0.5, 2.0))
+            reach = u_max * float(np.linalg.norm(a) / np.abs(a).max())
+            p = -float(rng.uniform(0.8, 0.95)) * (1.0 - theta) * reach * float(np.linalg.norm(a))
+            u0 = -3.0 * u_max * np.sign(a)  # the clipped baseline fails
+            res = filter_socp(p, a, u0, theta, u_max=u_max)
+            assert res.margin >= 0.0 and np.abs(res.u).max() <= u_max
+            if np.abs(filter_socp(p, a, u0, theta).u).max() > u_max:
+                binding += 1
+                assert np.abs(res.u).max() == pytest.approx(u_max, abs=1e-12)
+    assert binding >= 20
 
 
 def _kkt_residual(p, a, u0, theta, u) -> float:
@@ -271,7 +299,7 @@ def test_wide_scale_stress_corpus_is_certified_and_optimal():
 def test_auto_dispatch():
     p, u0 = -1.0, np.array([0.0])
     a = np.array([1.0])
-    assert filter_auto(p, a, u0, 0.5).iterations == 0  # scalar closed form
+    assert filter_auto(p, a, u0, 0.5).q_star is None  # scalar closed form
     r_vec = filter_auto(p, np.array([1.0, 0.5]), np.zeros(2), 0.5)
     assert r_vec.q_star is not None  # cone route
     r_chan = filter_auto(p, a, u0, np.array([0.5]))
