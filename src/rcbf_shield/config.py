@@ -27,6 +27,7 @@ import numpy as np
 from .sectors import (
     NormalizedUncertainty,
     SectorBound,
+    in_level_range,
     random_in_sector,
     saturation_in_sector,
     time_varying_gain,
@@ -164,7 +165,7 @@ def _build_scenario(values: dict, name: str) -> Scenario:
         raise ConfigError(f"barrier: {exc}") from None
 
     design_theta = _get(values, "uncertainty", "design_theta")
-    _require(design_theta is not None and 0.0 <= design_theta < 1.0,
+    _require(design_theta is not None and in_level_range(design_theta),
              f"uncertainty.design_theta must lie in [0, 1), got {design_theta}")
     scale = _get(values, "uncertainty", "scale")
     try:
@@ -187,7 +188,7 @@ def _build_scenario(values: dict, name: str) -> Scenario:
 
     plant_theta = _get(values, "simulation", "plant_theta")
     if plant_theta is not None:
-        _require(0.0 <= plant_theta < 1.0,
+        _require(in_level_range(plant_theta),
                  f"simulation.plant_theta must lie in [0, 1), got {plant_theta}")
     adversary = _build_adversary(values, unc, plant_theta)
 
@@ -196,7 +197,7 @@ def _build_scenario(values: dict, name: str) -> Scenario:
     sweep = _get(values, "simulation", "sweep_thetas")
     if sweep is not None:
         for th in sweep:
-            _require(0.0 <= th < 1.0,
+            _require(in_level_range(th),
                      f"simulation.sweep_thetas entries must lie in [0, 1), got {th}")
     try:
         return Scenario(

@@ -16,9 +16,13 @@ split route for per-channel levels, whose worst case decouples into
 p + a @ u - sum_i theta_i |a_i| |u_i| >= 0.  All routes first try the
 baseline: when its projection onto the input box (u0 without a box)
 meets the constraint, it is the answer.  Otherwise the cone routes take
-the exact dual root (see `_dual_root`), with or without a box.  No
-filter runs the interior-point solver: it solves the paper's cone
-program only in `ball_oracle`, the self-checks' independent oracle.
+the exact dual root (see `_dual_root`), with or without a box: a 1-D
+monotone search in the constraint's multiplier over a closed-form prox.
+The ball route under a box finds its prox's two inner scalars by a walk
+over the sorted clip breakpoints instead of a root search (see
+`_boxed_ball_root`).  No filter runs the interior-point solver: it
+solves the paper's cone program only in `ball_oracle`, the self-checks'
+independent oracle.
 
 Optionally a symmetric box |u_i| <= u_max_i restricts the input set;
 infeasibility against the box is raised as an error, never relaxed.
@@ -32,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sectors import per_channel_worst_case, worst_case_input
+from .sectors import in_level_range, per_channel_worst_case, worst_case_input
 from .socp import ConeProgram, SocBlock, SocpResult, solve_socp
 
 __all__ = [
@@ -118,7 +122,7 @@ def _validate(p, a, u0) -> tuple[float, np.ndarray, np.ndarray]:
 
 def _scalar_theta(theta) -> float:
     theta = float(theta)
-    if not (0.0 <= theta < 1.0):
+    if not in_level_range(theta):
         raise ValueError(f"uncertainty level must satisfy 0 <= theta < 1, got {theta}")
     return theta
 
@@ -177,6 +181,19 @@ def _illinois(f: Callable[[float], float], lo: float, hi: float, flo: float,
     return hi
 
 
+def _multiplier(g: Callable[[float], float], g0: float, aa: float) -> float:
+    """Root in lam of the nondecreasing g, given g(0) = g0 < 0 and
+    aa = ||a||^2: bracketed by doubling from -g0 / aa, then refined by
+    `_illinois`, so g >= 0 at the answer."""
+    lo, glo = 0.0, g0
+    hi = max(-glo / max(aa, 1e-300), 1e-300)
+    while not (ghi := g(hi)) >= 0.0:  # NaN (overflow) is unmet
+        if hi > 1e300:
+            raise InfeasibleError("no multiplier meets the robust constraint")
+        lo, glo, hi = hi, ghi, 2.0 * hi
+    return _illinois(g, lo, hi, glo, ghi)
+
+
 def _dual_root(p: float, a: np.ndarray, u0: np.ndarray, theta, ub: Optional[np.ndarray],
                margin: Callable[[np.ndarray], float], ball: bool) -> np.ndarray:
     """Exact answer of a cone route whose box-projected baseline fails.
@@ -185,25 +202,18 @@ def _dual_root(p: float, a: np.ndarray, u0: np.ndarray, theta, ub: Optional[np.n
     over the input set, so g(lam) = margin(u(lam)), minus the derivative of
     the concave dual, is continuous and nondecreasing.  shrink is the prox
     of the penalty plus the box: per-channel (split) soft thresholding then
-    the clip, both separable; block (ball) soft thresholding, or with a box
-    clip(s * v), where s in (0, 1] is the root of the nondecreasing
-    lam*kappa - ||clip(s * v)|| * (1 - s) / s.  The root in lam is bracketed
-    by doubling from -g(0)/||a||^2 and refined by `_illinois`, so g >= 0 at
-    the answer: the margin is certified.
+    the clip, both separable, or block (ball) soft thresholding; the ball
+    route under a box has its own prox (see `_boxed_ball_root`).  The root
+    in lam is taken by `_multiplier`, so g >= 0 at the answer: the margin
+    is certified.
     """
+    kappa = theta * float(np.linalg.norm(a))
+    if ball and ub is not None:
+        return _boxed_ball_root(p, a, u0, kappa, ub, margin)
     load = theta * np.abs(a)
-    norm_a = float(np.linalg.norm(a))
-    kappa = theta * norm_a
     if ub is not None:
-        # the best margin in the box: each channel at its bound along a_i, or
-        # on the ball route clip(t * a), where ||clip(t * a)|| = kappa * t
-        best = np.sign(a) * ub
-        if ball and kappa > 0.0:
-            def excess(t):  # nondecreasing: ||clip(t * a)|| / t does not grow
-                return kappa - float(np.linalg.norm(np.clip(t * a, -ub, ub))) / t
-            t = float(np.linalg.norm(ub)) / kappa
-            best = np.clip(_illinois(excess, 0.0, t, kappa - norm_a, excess(t)) * a, -ub, ub)
-        if margin(best) < 0.0:
+        # the best margin in the box: each channel at its bound along a_i
+        if margin(np.sign(a) * ub) < 0.0:
             raise InfeasibleError(
                 f"no input within the box satisfies the robust constraint (p={p})")
 
@@ -215,23 +225,115 @@ def _dual_root(p: float, a: np.ndarray, u0: np.ndarray, theta, ub: Optional[np.n
         k, norm_v = lam * kappa, float(np.linalg.norm(v))
         if norm_v <= k:
             return np.zeros(v.size)
-        if ub is None:
-            return v * (1.0 - k / norm_v)
-
-        def h(s):  # nondecreasing, as excess above
-            return k - float(np.linalg.norm(np.clip(s * v, -ub, ub))) * (1.0 - s) / s
-        return np.clip(_illinois(h, 0.0, 1.0, k - norm_v, k) * v, -ub, ub)
+        return v * (1.0 - k / norm_v)
 
     def g(lam):
         return margin(shrink(lam))
 
-    lo, glo = 0.0, g(0.0)
-    hi = max(-glo / max(float(a @ a), 1e-300), 1e-300)
-    while not (ghi := g(hi)) >= 0.0:  # NaN (overflow) is unmet
-        if hi > 1e300:
+    return shrink(_multiplier(g, g(0.0), float(a @ a)))
+
+
+def _breakpoints(x: list, ub: list, below: float) -> tuple[list, list]:
+    """Clip breakpoints b_i = ub_i / |x_i| < below, sorted, as triples
+    (b_i, ub_i^2, x_i^2), and free[j], the sum of x_i^2 over the channels
+    still free past the j-th breakpoint (free[0]: all of them).  x_i = 0
+    never clamps."""
+    pts = sorted((b / abs(xi), b * b, xi * xi) for xi, b in zip(x, ub) if b < below * abs(xi))
+    free = [0.0] * (len(pts) + 1)
+    free[-1] = sum(xi * xi for xi, b in zip(x, ub) if not b < below * abs(xi))
+    for j in range(len(pts) - 1, -1, -1):
+        free[j] = free[j + 1] + pts[j][2]
+    return pts, free
+
+
+def _box_reach(a: list, ub: list, kappa: float) -> float:
+    """The t > 0 with ||clip(t * a)|| = kappa * t, for 0 < kappa < ||a||.
+
+    Between sorted breakpoints ub_i / |a_i| the clamped channels give
+    C = sum ub_i^2 and the free ones F = sum a_i^2, so
+    ||clip(t * a)||^2 = C + t^2 F and t = sqrt(C / (kappa^2 - F)) on the
+    first segment whose end meets ||clip(t * a)|| <= kappa * t.
+    """
+    pts, free = _breakpoints(a, ub, math.inf)
+    k2, clamped = kappa * kappa, 0.0
+    for j, (_, b2, _) in enumerate(pts):  # past the last one F = 0 < kappa^2
+        clamped += b2
+        f = free[j + 1]
+        if j + 1 == len(pts) or (f < k2 and clamped <= (k2 - f) * pts[j + 1][0] ** 2):
+            return math.sqrt(clamped / (k2 - f))
+
+
+def _shrink_scale(v: list, ub: list, k: float, norm_v: float) -> float:
+    """The s in (0, 1] with ||clip(s * v)|| * (1 - s) / s = k, 0 < k < ||v||.
+
+    On the segment before the first breakpoint ub_i / |v_i| nothing is
+    clamped and s = 1 - k / ||v||.  Past it, with C and F as in
+    `_box_reach`, phi(s) = k - sqrt(C / s^2 + F) * (1 - s) is increasing
+    and concave, so Newton from the segment's left end climbs to the root
+    from below and never leaves the segment.
+    """
+    pts, free = _breakpoints(v, ub, 1.0)
+    if not pts or k >= norm_v * (1.0 - pts[0][0]):
+        return 1.0 - k / norm_v
+    clamped = 0.0
+    for j, (s, b2, _) in enumerate(pts):
+        clamped += b2
+        end = pts[j + 1][0] if j + 1 < len(pts) else 1.0
+        f = free[j + 1]
+        if k * end >= math.sqrt(clamped + f * end * end) * (1.0 - end):
+            break
+    for _ in range(100):  # a bound only: quadratic convergence ends far sooner
+        n = math.sqrt(clamped + f * s * s)
+        r = n * (1.0 - s) - k * s  # -s * phi(s), > 0 below the root
+        if r <= 0.0:
+            break
+        nxt = min(s + r * s * n / (clamped + f * s * s * s), end)
+        if not nxt > s:
+            break
+        s = nxt
+    return s
+
+
+def _boxed_ball_root(p: float, a: np.ndarray, u0: np.ndarray, kappa: float,
+                     ub: np.ndarray, margin: Callable[[np.ndarray], float]) -> np.ndarray:
+    """`_dual_root` of the ball route under the box |u_i| <= ub_i.
+
+    The prox of lam * kappa * ||u|| plus the box at v = u0 + lam * a is 0
+    when ||v|| <= lam * kappa, else clip(s * v) with s from
+    `_shrink_scale`.  Whether the box admits a safe input is decided first
+    from its best margin, at clip(t * a) with t from `_box_reach` (the
+    corner sign(a) * ub when kappa = 0).  Both scalars and the search in
+    lam run on plain floats; the answer is then certified with `margin`,
+    stepping lam up from its last ulp while the certified margin is below 0.
+    """
+    al, ul, bl = a.tolist(), u0.tolist(), ub.tolist()
+    if kappa > 0.0:
+        best = np.clip(_box_reach(al, bl, kappa) * a, -ub, ub)
+    else:
+        best = np.sign(a) * ub
+    if margin(best) < 0.0:
+        raise InfeasibleError(
+            f"no input within the box satisfies the robust constraint (p={p})")
+
+    def shrink(lam):
+        v = [x + lam * y for x, y in zip(ul, al)]
+        k, norm_v = lam * kappa, math.hypot(*v)
+        if norm_v <= k:
+            return [0.0] * len(v)
+        s = _shrink_scale(v, bl, k, norm_v) if k > 0.0 else 1.0
+        return [max(-b, min(b, s * x)) for x, b in zip(v, bl)]
+
+    def g(lam):
+        u = shrink(lam)
+        return p + sum(x * y for x, y in zip(al, u)) - kappa * math.hypot(*u)
+
+    lam = _multiplier(g, margin(np.clip(u0, -ub, ub)), float(a @ a))
+    step = math.ulp(lam)
+    while margin(u := np.array(shrink(lam))) < 0.0:
+        if lam > 1e300:
             raise InfeasibleError("no multiplier meets the robust constraint")
-        lo, glo, hi = hi, ghi, 2.0 * hi
-    return shrink(_illinois(g, lo, hi, glo, ghi))
+        lam, step = lam + step, 2.0 * step
+    return u
 
 
 def ball_oracle(p: float, a: np.ndarray, u0: np.ndarray, theta: float,
@@ -335,7 +437,7 @@ def filter_qp_channels(p, a, u0, theta, u_max=None,
     p, a, u0 = _validate(p, a, u0)
     m = a.size
     theta_vec = np.broadcast_to(np.asarray(theta, dtype=float), (m,)).astype(float)
-    if np.any(theta_vec < 0.0) or np.any(theta_vec >= 1.0):
+    if not in_level_range(theta_vec):
         raise ValueError("per-channel levels must lie in [0, 1)")
     ub = _box(u_max, m)
 

@@ -26,6 +26,7 @@ import numpy as np
 
 __all__ = [
     "DegenerateGradientError",
+    "in_level_range",
     "SectorBound",
     "NormalizedUncertainty",
     "SectorNonlinearity",
@@ -52,6 +53,16 @@ NONLINEARITY_KINDS = ("identity", "saturation_in_sector", "time_varying_gain",
 
 class DegenerateGradientError(ValueError):
     """The constraint direction a(x) vanished; callers must branch."""
+
+
+def in_level_range(theta) -> bool:
+    """Whether the uncertainty level theta, or every level in an array of
+    them, lies in [0, 1): a recentered sector has theta < 1 because its
+    lower slope alpha is positive."""
+    if isinstance(theta, float):
+        return 0.0 <= theta < 1.0
+    theta = np.asarray(theta, dtype=float)
+    return bool(np.all((theta >= 0.0) & (theta < 1.0)))
 
 
 @dataclass(frozen=True)
@@ -86,7 +97,7 @@ class NormalizedUncertainty:
     scale: float
 
     def __post_init__(self):
-        if not (0.0 <= self.theta < 1.0):
+        if not in_level_range(self.theta):
             raise ValueError(f"uncertainty level must satisfy 0 <= theta < 1, got {self.theta}")
         if not (self.scale > 0.0):
             raise ValueError(f"input gain must be positive, got {self.scale}")
@@ -204,7 +215,7 @@ def worst_case_input(u, a, theta: float) -> np.ndarray:
     """Admissible w minimizing a @ (u + w): w* = -theta*||u|| * a / ||a||."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     a = np.atleast_1d(np.asarray(a, dtype=float))
-    if not (0.0 <= theta < 1.0):
+    if not in_level_range(theta):
         raise ValueError(f"uncertainty level must satisfy 0 <= theta < 1, got {theta}")
     norm_a = np.linalg.norm(a)
     if norm_a == 0.0:
@@ -267,6 +278,6 @@ def per_channel_worst_case(u, a, theta_vec) -> np.ndarray:
     if not (u.shape == a.shape == theta_vec.shape):
         raise ValueError(
             f"dimension mismatch: u {u.shape}, a {a.shape}, theta {theta_vec.shape}")
-    if np.any(theta_vec < 0.0) or np.any(theta_vec >= 1.0):
+    if not in_level_range(theta_vec):
         raise ValueError("per-channel levels must lie in [0, 1)")
     return -theta_vec * np.abs(u) * np.sign(a)

@@ -32,6 +32,7 @@ from .sectors import (
     SectorBound,
     SectorNonlinearity,
     apply_nonlinearity,
+    in_level_range,
     worst_case_input,
 )
 
@@ -77,7 +78,7 @@ class Adversary:
     def __post_init__(self):
         if self.kind not in ADVERSARY_KINDS:
             raise ValueError(f"unknown adversary kind {self.kind!r}")
-        if self.theta is not None and not (0.0 <= self.theta < 1.0):
+        if self.theta is not None and not in_level_range(self.theta):
             raise ValueError(f"plant level must satisfy 0 <= theta < 1, got {self.theta}")
         if (self.scripted is not None) != (self.kind == "scripted"):
             raise ValueError("scripted nonlinearity goes with kind='scripted' only")

@@ -15,10 +15,12 @@ import numpy as np
 
 from .filters import (
     ball_oracle,
+    channel_margin,
     filter_auto,
     filter_qp_channels,
     filter_scalar,
     filter_socp,
+    robust_margin,
 )
 from .sectors import (
     NormalizedUncertainty,
@@ -37,6 +39,7 @@ __all__ = [
     "check_route_agreement",
     "check_split_uniqueness",
     "check_margin_soundness",
+    "check_wide_scale_stress",
     "check_theta_zero_reduction",
     "check_rk4_order",
     "check_determinism",
@@ -217,6 +220,112 @@ def check_margin_soundness(n_instances: int = 1000, w_samples: int = 2000) -> Ch
     return CheckResult("margin_soundness", ok, detail)
 
 
+def _kkt_residual(p, a, u0, theta, u, ub=None) -> float:
+    """Distance of u from the optimality conditions of the filter problem.
+
+    Ball (scalar theta): u - u0 = lam (a - theta ||a|| u / ||u||).  Split
+    (one level per channel): u - u0 = lam (a - theta * |a| * s) with
+    s_i = sign(u_i), or |u0_i + lam a_i| <= lam theta_i |a_i| where u_i = 0.
+    Under a box a channel at its bound only needs u0_i + lam d_i (d the
+    direction above) on or beyond that bound.  lam is fitted by least
+    squares on the channels off the bound (with none, it is the least lam
+    that puts every bound channel there); complementarity lam * margin = 0
+    enters divided by the scale, so the result is in units of u.  A
+    negative fitted lam is not optimal: the result is then inf.
+    """
+    scale = max(1.0, float(np.linalg.norm(u0)), float(np.linalg.norm(u)))
+    r = u - u0
+    if np.ndim(theta) == 0:
+        moving = np.ones(u.size, dtype=bool)
+        d = a - theta * np.linalg.norm(a) * u / np.linalg.norm(u)
+        margin = robust_margin(p, a, u, theta)
+    else:
+        moving = u != 0.0
+        d = a - theta * np.abs(a) * np.sign(u)
+        margin = channel_margin(p, a, u, theta)
+    bound = np.zeros(u.size, dtype=bool) if ub is None else np.abs(u) >= ub
+    fit = moving & ~bound
+    lam = 0.0
+    if fit.any() and np.any(r):
+        lam = float(r[fit] @ d[fit]) / float(d[fit] @ d[fit])
+    elif bound.any():
+        sd = np.sign(u[bound]) * d[bound]
+        need = (ub[bound] - np.sign(u[bound]) * u0[bound])[sd > 0.0] / sd[sd > 0.0]
+        lam = float(need.max(initial=0.0))
+    if lam < 0.0:
+        return np.inf
+    stationarity = r - lam * d
+    resting = np.maximum(np.abs(u0 + lam * a) - lam * theta * np.abs(a), 0.0)
+    stationarity[~moving] = resting[~moving]
+    if ub is not None:
+        beyond = np.sign(u) * (u0 + lam * d) - ub
+        stationarity[bound] = np.minimum(beyond[bound], 0.0)
+    return max(float(np.linalg.norm(stationarity)), lam * margin / scale)
+
+
+def _wide_scale_instances(n: int):
+    # |a|, |u0| and |p| log-uniform over decades: the scales of the vehicle
+    # study's own constraint data; split and ball routes alternate
+    rng = np.random.default_rng(2109)
+    for i in range(n):
+        m = 2 + i % 4
+        a = rng.normal(size=m)
+        a *= 10.0 ** rng.uniform(0.0, 2.7) / np.linalg.norm(a)
+        u0 = rng.normal(size=m)
+        u0 *= 10.0 ** rng.uniform(-2.0, 3.5) / np.linalg.norm(u0)
+        p = 10.0 ** rng.uniform(-1.0, 6.0) * (1.0 if rng.random() < 0.25 else -1.0)
+        theta = rng.uniform(0.05, 0.9, size=m) if i % 2 else float(rng.uniform(0.05, 0.9))
+        yield p, a, u0, theta, None
+
+
+def _wide_scale_boxed_instances(n: int):
+    # the ball route under a per-channel box of 1e-2 .. 3e3, feasible by
+    # construction: with d = a / ||a||, the point t * d, t = min ub_i / |d_i|,
+    # lies in the box with margin p + (1 - theta) t ||a||; p takes a share
+    # beta of that.  u0 reaches three box widths, one channel outside.
+    rng = np.random.default_rng(2110)
+    for i in range(n):
+        m = 2 + i % 4
+        a = _random_direction(rng, m) * 10.0 ** rng.uniform(0.0, 2.7)
+        if i % 7 == 3:
+            a[int(rng.integers(m))] = 0.0
+        theta = float(rng.uniform(0.05, 0.9))
+        ub = 10.0 ** rng.uniform(-2.0, 3.5) * rng.uniform(0.5, 2.0, size=m)
+        reach = float(np.min(ub / np.maximum(np.abs(a) / np.linalg.norm(a), 1e-300)))
+        p = -rng.uniform(0.1, 0.99) * (1.0 - theta) * reach * float(np.linalg.norm(a))
+        u0 = ub * rng.uniform(-3.0, 3.0, size=m)
+        k = int(rng.integers(m))
+        u0[k] = ub[k] * rng.uniform(1.0, 3.0) * rng.choice([-1.0, 1.0])
+        yield p, a, u0, theta, ub
+
+
+def check_wide_scale_stress(n_instances: int = 200) -> CheckResult:
+    """Cone routes on wide-scale data: certified and optimal.
+
+    n_instances unboxed ones alternate the split and ball routes;
+    n_instances // 2 more take the ball route under a box.  Every answer
+    must have margin >= 0 exactly and lie in the box, and its optimality
+    residual (see `_kkt_residual`) must stay within 1e-6 of its scale.
+    """
+    worst = 0.0
+    unsafe = 0
+    cases = [*_wide_scale_instances(n_instances),
+             *_wide_scale_boxed_instances(n_instances // 2)]
+    for p, a, u0, theta, ub in cases:
+        if np.ndim(theta):
+            u = filter_qp_channels(p, a, u0, theta).u
+            margin = channel_margin(p, a, u, theta)
+        else:
+            u = filter_socp(p, a, u0, theta, u_max=ub).u
+            margin = robust_margin(p, a, u, theta)
+        unsafe += not (margin >= 0.0 and (ub is None or bool(np.all(np.abs(u) <= ub))))
+        scale = max(1.0, float(np.linalg.norm(u0)), float(np.linalg.norm(u)))
+        worst = max(worst, _kkt_residual(p, a, u0, theta, u, ub) / scale)
+    detail = (f"optimality residual {worst:.3g} of scale (bound 1e-06); {unsafe} of "
+              f"{len(cases)} answers below margin 0 or outside the box")
+    return CheckResult("wide_scale_stress", unsafe == 0 and worst <= 1e-6, detail)
+
+
 def check_theta_zero_reduction(n_instances: int = 1000) -> CheckResult:
     """At theta=0 the filter is the halfspace projection of u0."""
     rng = np.random.default_rng(16)
@@ -287,6 +396,7 @@ _FULL: List[Callable[[], CheckResult]] = [
     check_route_agreement,
     check_split_uniqueness,
     check_margin_soundness,
+    check_wide_scale_stress,
     check_theta_zero_reduction,
     check_rk4_order,
     lambda: check_determinism(horizon=2.0),

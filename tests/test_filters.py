@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from rcbf_shield.filters import (
     InfeasibleError,
+    ball_oracle,
     channel_margin,
     filter_auto,
     filter_qp_channels,
@@ -13,6 +14,7 @@ from rcbf_shield.filters import (
     filter_socp,
     robust_margin,
 )
+from rcbf_shield.verify import check_wide_scale_stress
 
 
 def test_halfspace_projection_frozen():
@@ -244,56 +246,98 @@ def test_exact_routes_never_run_the_cone_solver(monkeypatch):
     assert binding >= 20
 
 
-def _kkt_residual(p, a, u0, theta, u) -> float:
-    """Distance of u from the optimality conditions of the filter problem.
-
-    Ball (scalar theta): u - u0 = lam (a - theta ||a|| u / ||u||).  Split
-    (one level per channel): u - u0 = lam (a - theta * |a| * s) with
-    s_i = sign(u_i), or |u0_i + lam a_i| <= lam theta_i |a_i| where u_i = 0.
-    lam >= 0 is fitted by least squares; complementarity lam * margin = 0
-    enters divided by the scale, so the result is in units of u.
-    """
-    scale = max(1.0, float(np.linalg.norm(u0)), float(np.linalg.norm(u)))
-    r = u - u0
-    if np.ndim(theta) == 0:
-        moving = np.ones(u.size, dtype=bool)
-        d = a - theta * np.linalg.norm(a) * u / np.linalg.norm(u)
-        margin = robust_margin(p, a, u, theta)
-    else:
-        moving = u != 0.0
-        d = a - theta * np.abs(a) * np.sign(u)
-        margin = channel_margin(p, a, u, theta)
-    lam = 0.0
-    if np.any(r):
-        lam = float(r[moving] @ d[moving]) / float(d[moving] @ d[moving])
-    assert lam >= 0.0
-    stationarity = r - lam * d
-    resting = np.maximum(np.abs(u0 + lam * a) - lam * theta * np.abs(a), 0.0)
-    stationarity[~moving] = resting[~moving]
-    return max(float(np.linalg.norm(stationarity)), lam * margin / scale)
-
-
 def test_wide_scale_stress_corpus_is_certified_and_optimal():
-    # |a|, |u0| and |p| log-uniform over decades: the scales of the
-    # vehicle study's own constraint data
-    rng = np.random.default_rng(2109)
-    for i in range(200):
-        m = 2 + i % 4
+    res = check_wide_scale_stress()
+    assert res.passed, res.detail
+
+
+# (p, a, u0, theta, u_max) and the answer of the nested root searches that
+# the breakpoint prox of the boxed ball route replaced, frozen
+_BOXED_BALL_CASES = {
+    "zero a_i": ((-0.9, [1.2, 0.0, -0.7], [-2.0, 1.5, 3.0], 0.4, [1.0, 0.5, 0.8]),
+                 [1.0, 0.3259075356600285, -0.493833206879412]),
+    "zero v_i": ((-0.7, [0.9, 0.0, -1.1], [-1.5, 0.0, 3.0], 0.3, [0.8, 0.6, 0.4]),
+                 [0.6507833262675785, 0.0, -0.4]),
+    "tied breakpoints": ((-0.8, [1.0, -1.0, 0.5], [-3.0, 3.0, -1.5], 0.35, [0.5, 0.5, 0.8]),
+                         [0.5, -0.5, 0.5242801814179108]),
+    # the corner (3, 4) has margin -20 + 25 - 1 * 5 = 0 and the margin grows
+    # toward it on both channels: it is the one safe input in the box
+    "every channel clamped": ((-20.0, [3.0, 4.0], [-10.0, 2.0], 0.2, [3.0, 4.0]),
+                              [3.0, 4.0]),
+    # theta = 0: clip(u0 + lam a), here (-1, -1.5 + 2 lam) at lam = 9 / 8
+    "lam kappa = 0": ((-0.5, [1.0, 2.0], [-3.0, -1.5], 0.0, [1.0, 1.0]), [-1.0, 0.75]),
+    "one channel": ((-0.6, [-1.5], [2.0], 0.5, [1.0]), [-0.8000000000000003]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BOXED_BALL_CASES))
+def test_boxed_ball_route_frozen_and_against_oracle(case):
+    (p, a, u0, theta, u_max), expected = _BOXED_BALL_CASES[case]
+    a, u0, u_max = np.array(a), np.array(u0), np.array(u_max)
+    res = filter_auto(p, a, u0, theta, u_max=u_max, mode="socp")
+    assert res.margin >= 0.0 and np.all(np.abs(res.u) <= u_max)
+    assert res.u == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    if case != "every channel clamped":  # a lone safe point has no interior
+        oracle = ball_oracle(p, a, u0, theta, u_max)
+        assert oracle.status == "optimal"
+        assert np.abs(res.u - oracle.z[:-1]).max() <= 1e-6
+
+
+def test_boxed_ball_route_across_scales():
+    # a scaled by alpha, u0 and the box by beta, p by alpha * beta: the
+    # answer scales by beta
+    for case in ("zero a_i", "zero v_i", "tied breakpoints"):
+        (p, a, u0, theta, u_max), expected = _BOXED_BALL_CASES[case]
+        for alpha in (1e-2, 1.0, 1e3):
+            for beta in (1e-2, 1.0, 1e3):
+                box = beta * np.array(u_max)
+                res = filter_socp(alpha * beta * p, alpha * np.array(a), beta * np.array(u0),
+                                  theta, u_max=box)
+                assert res.margin >= 0.0 and np.all(np.abs(res.u) <= box)
+                assert res.u / beta == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+def test_boxed_ball_route_finds_the_best_margin_in_the_box():
+    # the box's best margin, a @ u - theta ||a|| ||u|| over a 201 x 201 grid,
+    # bounds the true one from below: 99.9% of it must be met
+    rng = np.random.default_rng(25)
+    xs = np.linspace(-1.0, 1.0, 201)
+    grid = np.stack(np.meshgrid(xs, xs), axis=-1).reshape(-1, 2)
+    for _ in range(20):
+        a = rng.normal(size=2)
+        theta = float(rng.uniform(0.05, 0.9))
+        u_max = rng.uniform(0.3, 1.5, size=2)
+        pts = grid * u_max
+        best = float(np.max(pts @ a - theta * np.linalg.norm(a) * np.linalg.norm(pts, axis=1)))
+        res = filter_socp(-0.999 * best, a, -3.0 * u_max * np.sign(a), theta, u_max=u_max)
+        assert res.margin >= 0.0 and np.all(np.abs(res.u) <= u_max)
+
+
+def test_boxed_ball_route_decides_infeasibility_as_the_oracle():
+    # the oracle's phase 1 ends "infeasible" on most infeasible instances
+    # and "numerical_failure" on the rest; it never ends "optimal" there
+    rng = np.random.default_rng(24)
+    raised = 0
+    for i in range(40):
+        m = int(rng.integers(2, 5))
         a = rng.normal(size=m)
-        a *= 10.0 ** rng.uniform(0.0, 2.7) / np.linalg.norm(a)
-        u0 = rng.normal(size=m)
-        u0 *= 10.0 ** rng.uniform(-2.0, 3.5) / np.linalg.norm(u0)
-        p = 10.0 ** rng.uniform(-1.0, 6.0) * (1.0 if rng.random() < 0.25 else -1.0)
-        if i % 2:
-            theta = rng.uniform(0.05, 0.9, size=m)
-            res = filter_qp_channels(p, a, u0, theta)
-            assert channel_margin(p, a, res.u, theta) >= 0.0
-        else:
-            theta = float(rng.uniform(0.05, 0.9))
-            res = filter_socp(p, a, u0, theta)
-            assert robust_margin(p, a, res.u, theta) >= 0.0
-        scale = max(1.0, float(np.linalg.norm(u0)), float(np.linalg.norm(res.u)))
-        assert _kkt_residual(p, a, u0, theta, res.u) <= 1e-6 * scale, i
+        if i % 7 == 0:
+            a[0] = 0.0
+        u0 = rng.normal(size=m) * 2.0
+        theta = float(rng.uniform(0.0, 0.8))
+        u_max = rng.uniform(0.3, 1.5, size=m)
+        p = float(rng.normal() * 1.5)
+        oracle = ball_oracle(p, a, u0, theta, u_max)
+        try:
+            res = filter_socp(p, a, u0, theta, u_max=u_max)
+        except InfeasibleError:
+            raised += 1
+            assert oracle.status != "optimal", i
+            continue
+        assert oracle.status == "optimal", i
+        assert res.margin >= 0.0 and np.all(np.abs(res.u) <= u_max)
+        assert np.abs(res.u - oracle.z[:-1]).max() <= 1e-6
+    assert 5 <= raised <= 35
 
 
 def test_auto_dispatch():
