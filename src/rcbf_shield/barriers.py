@@ -21,6 +21,7 @@ is supplied.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -103,17 +104,23 @@ class Barrier:
             raise ValueError("degree-2 barriers need pole-placement gains (k0, k1)")
 
 
-def _fd_step(x: np.ndarray) -> float:
-    return 1e-6 * (1.0 + float(np.linalg.norm(x)))
-
-
 def _numeric_gradient(func: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
-    eps = _fd_step(x)
+    """Central differences (func(x + eps e_i) - func(x - eps e_i)) / (2 eps)
+    with eps = 1e-6 * (1 + ||x||), ||x|| = sqrt(x.dot(x)) as np.linalg.norm
+    takes it.
+
+    The points are two work arrays moved one coordinate at a time and put
+    back after each call, which func must not keep.  They start from
+    x + 0.0 and x: adding the zero step turns -0.0 into +0.0 on the other
+    coordinates, subtracting it keeps -0.0.
+    """
+    plus, minus = x + 0.0, x.copy()
+    eps = 1e-6 * (1.0 + math.sqrt(minus.dot(minus)))
     out = np.empty(x.size)
-    for i in range(x.size):
-        step = np.zeros(x.size)
-        step[i] = eps
-        out[i] = (func(x + step) - func(x - step)) / (2.0 * eps)
+    for i, xi in enumerate(x.tolist()):
+        plus[i], minus[i] = xi + eps, xi - eps
+        out[i] = (func(plus) - func(minus)) / (2.0 * eps)
+        plus[i], minus[i] = xi + 0.0, xi
     return out
 
 
@@ -149,9 +156,13 @@ def barrier_terms(barrier: Barrier, dyn: Dynamics,
         return p, np.atleast_1d(np.asarray(a, dtype=float))
     # degree 2: differentiate psi = L_f h numerically (its analytic gradient
     # would need the Hessian of h, which callers are not asked to supply)
-    psi = lambda y: float(gradient(barrier, y) @ dyn.f(y))
-    grad_psi = _numeric_gradient(psi, x)
+    f, grad = dyn.f, barrier.grad
+    if grad is None:
+        grad = lambda y: _numeric_gradient(barrier.h, y)
+    psi = lambda y, fy: float(np.asarray(grad(y), dtype=float) @ fy)
+    grad_psi = _numeric_gradient(lambda y: psi(y, f(y)), x)
     k0, k1 = barrier.gains
-    p = float(grad_psi @ dyn.f(x)) + k1 * psi(x) + k0 * float(barrier.h(x))
+    fx = f(x)
+    p = float(grad_psi @ fx) + k1 * psi(x, fx) + k0 * float(barrier.h(x))
     a = uncertainty.scale * (grad_psi @ dyn.g(x))
     return p, np.atleast_1d(np.asarray(a, dtype=float))

@@ -36,7 +36,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sectors import in_level_range, per_channel_worst_case, worst_case_input
+from .sectors import (
+    DegenerateGradientError,
+    in_level_range,
+    per_channel_worst_case,
+    worst_case_input,
+)
 from .socp import ConeProgram, SocBlock, SocpResult, solve_socp
 
 __all__ = [
@@ -376,37 +381,64 @@ def filter_scalar(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS) -> FilterR
     u_l = max(-p/((1-theta)a), -p/((1+theta)a)) (the two slopes of the
     piecewise-linear constraint on either side of u = 0), so the closest
     feasible point is max(u_l, u0); a < 0 mirrors to an upper endpoint.
+
+    Past the checks it runs on plain floats.  With |x| = sqrt(x * x), the
+    margin (p + (a*u + 0.0)) - (theta*|u|)*|a| and w* = ((-theta*|u|)*a)/|a|
+    repeat the IEEE operations of `robust_margin` and `worst_case_input` on
+    one channel (a @ u sums from +0.0), so every value equals theirs bit
+    for bit.
     """
-    p, a, u0 = _validate(p, a, u0)
+    p = float(p)
+    # np.atleast_1d(np.asarray(x, dtype=float)) in one call
+    a = np.array(a, dtype=float, ndmin=1, copy=None)
+    u0 = np.array(u0, dtype=float, ndmin=1, copy=None)
+    if a.ndim != 1 or u0.shape != a.shape:
+        raise ValueError(f"shape mismatch: a {a.shape}, u0 {u0.shape}")
+    al, ul = a.tolist(), u0.tolist()
+    if not (math.isfinite(p) and all(map(math.isfinite, al + ul))):
+        raise ValueError("constraint data must be finite")
     theta = _scalar_theta(theta)
     if a.size != 1:
         raise ValueError(f"interval route needs one channel, got {a.size}")
-    ub = _box(u_max, 1)
-    u = _baseline(p, a, u0, ub, lambda v: robust_margin(p, a, v, theta))
-    if u is None:
-        av, uv = float(a[0]), float(u0[0])
+    (av,), (uv,) = al, ul
+    bound = math.inf  # no box
+    if u_max is not None:
+        bound = float(np.broadcast_to(np.asarray(u_max, dtype=float), (1,))[0])
+        if not (math.isfinite(bound) and bound > 0.0):
+            raise ValueError("box bounds must be positive and finite")
+    norm_a = math.sqrt(av * av)
+
+    def margin(v):
+        return (p + (av * v + 0.0)) - (theta * math.sqrt(v * v)) * norm_a
+
+    u = min(max(uv, -bound), bound)
+    if not margin(u) >= 0.0:
+        if av == 0.0:
+            raise InfeasibleError(
+                f"input direction vanished (a = 0) with negative drift term p = {p}",
+                degenerate=True)
         lo_slope = -p / ((1.0 - theta) * av)  # binds where sign(u) == sign(a)
         hi_slope = -p / ((1.0 + theta) * av)
         if av > 0.0:
             u_l = max(lo_slope, hi_slope)
-            hi = math.inf if ub is None else float(ub[0])
-            if u_l > hi:
+            if u_l > bound:
                 raise InfeasibleError(
-                    f"feasible interval [{u_l}, inf) lies outside the bound {hi}")
-            lo = u_l if ub is None else max(u_l, -float(ub[0]))
-            u_new = min(max(uv, lo), hi)
+                    f"feasible interval [{u_l}, inf) lies outside the bound {bound}")
+            u = min(max(uv, max(u_l, -bound)), bound)
         else:
             u_h = min(lo_slope, hi_slope)
-            lo = -math.inf if ub is None else -float(ub[0])
-            if u_h < lo:
+            if u_h < -bound:
                 raise InfeasibleError(
-                    f"feasible interval (-inf, {u_h}] lies outside the bound {lo}")
-            hi = u_h if ub is None else min(u_h, float(ub[0]))
-            u_new = max(min(uv, hi), lo)
-        u = np.array([u_new])
-    return FilterResult(u=u, w_star=_ball_worst_case(u, a, theta),
-                        margin=robust_margin(p, a, u, theta),
-                        altered=bool(abs(u[0] - u0[0]) > tol))
+                    f"feasible interval (-inf, {u_h}] lies outside the bound {-bound}")
+            u = max(min(uv, min(u_h, bound)), -bound)
+    if av == 0.0:
+        w_star = 0.0
+    elif norm_a == 0.0:  # a * a underflowed, as in worst_case_input
+        raise DegenerateGradientError("constraint direction a is zero")
+    else:
+        w_star = ((-theta * math.sqrt(u * u)) * av) / norm_a
+    # positional: keywords cost a frozen dataclass another 0.5 us per call
+    return FilterResult(np.array([u]), np.array([w_star]), margin(u), abs(u - uv) > tol)
 
 
 def filter_socp(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS) -> FilterResult:

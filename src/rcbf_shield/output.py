@@ -6,6 +6,8 @@ runs of a deterministic scenario produce byte-identical files.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .sim import SimulationResult
 
 __all__ = [
@@ -18,6 +20,10 @@ __all__ = [
 
 CSV_HEADER = "t,e,edot,psi,psidot,s,h,hdot,u0,u,w,margin,altered"
 
+#: One csv row: twelve numbers, "%.9g" writing each as f"{float(v):.9g}"
+#: does, then the altered flag.
+_ROW = ",".join(["%.9g"] * 12 + ["%d"])
+
 
 def _num(x: float) -> str:
     return f"{float(x):.9g}"
@@ -27,13 +33,10 @@ def trajectory_csv_text(traj: SimulationResult) -> str:
     """One row per recorded step of a single-input five-state run."""
     if traj.states.shape[1] != 5 or traj.us.shape[1] != 1:
         raise ValueError("csv schema covers 5-state single-input runs only")
+    table = np.column_stack((traj.times, traj.states, traj.h_vals, traj.hdot_vals,
+                             traj.u0s, traj.us, traj.ws, traj.margins, traj.altered))
     lines = [CSV_HEADER]
-    for k in range(traj.times.shape[0]):
-        x = traj.states[k]
-        row = [traj.times[k], x[0], x[1], x[2], x[3], x[4],
-               traj.h_vals[k], traj.hdot_vals[k],
-               traj.u0s[k, 0], traj.us[k, 0], traj.ws[k, 0], traj.margins[k]]
-        lines.append(",".join(_num(v) for v in row) + f",{int(traj.altered[k])}")
+    lines.extend(_ROW % tuple(row.tolist()) for row in table)
     return "\n".join(lines) + "\n"
 
 

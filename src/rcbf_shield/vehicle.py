@@ -112,7 +112,9 @@ def obstacle_barrier(d: float = 3.0, poles: tuple = (-30.0, -30.0)) -> Barrier:
         return x[0] * x[0] + x[4] * x[4] - dsq
 
     def grad(x):
-        return np.array([2.0 * x[0], 0.0, 0.0, 0.0, 2.0 * x[4]])
+        out = np.zeros(5)
+        out[0], out[4] = 2.0 * x[0], 2.0 * x[4]
+        return out
 
     return Barrier(h=h, degree=2, grad=grad, gains=pole_gains(*poles), radius=d)
 

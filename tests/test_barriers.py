@@ -1,5 +1,7 @@
 """Barrier constraint assembly for relative degree 1 and 2."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from rcbf_shield.barriers import (
     pole_gains,
 )
 from rcbf_shield.sectors import NormalizedUncertainty
+from rcbf_shield.vehicle import lateral_dynamics, obstacle_barrier
 
 
 def test_pole_gains_frozen():
@@ -112,3 +115,75 @@ def test_input_scale_enters_linearly():
     _, a1 = barrier_terms(bar, dyn, NormalizedUncertainty(0.0, 1.0), x)
     _, a3 = barrier_terms(bar, dyn, NormalizedUncertainty(0.0, 3.0), x)
     assert a3 == pytest.approx(3.0 * a1)
+
+
+def _nested_terms(barrier, dyn, unc, x):
+    """Degree-2 (p, a) by nested central differences that build every
+    point as x + step or x - step from a fresh step vector, and evaluate
+    f(x) once per use."""
+    def numeric_gradient(func, y):
+        eps = 1e-6 * (1.0 + float(np.linalg.norm(y)))
+        out = np.empty(y.size)
+        for i in range(y.size):
+            step = np.zeros(y.size)
+            step[i] = eps
+            out[i] = (func(y + step) - func(y - step)) / (2.0 * eps)
+        return out
+
+    def grad_h(y):
+        if barrier.grad is not None:
+            return np.asarray(barrier.grad(y), dtype=float)
+        return numeric_gradient(barrier.h, y)
+
+    psi = lambda y: float(grad_h(y) @ dyn.f(y))
+    grad_psi = numeric_gradient(psi, x)
+    k0, k1 = barrier.gains
+    p = float(grad_psi @ dyn.f(x)) + k1 * psi(x) + k0 * float(barrier.h(x))
+    a = unc.scale * (grad_psi @ dyn.g(x))
+    return p, np.atleast_1d(np.asarray(a, dtype=float))
+
+
+def _states_with_signed_zeros(rng, scale, count):
+    out = []
+    for _ in range(count):
+        x = rng.normal(size=scale.size) * scale
+        for i in np.flatnonzero(rng.random(scale.size) < 0.4):
+            x[i] = rng.choice([0.0, -0.0])
+        out.append(x)
+    return out
+
+
+def _assert_same_terms(got, want):
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    assert got[1].dtype == want[1].dtype and got[1].tobytes() == want[1].tobytes()
+
+
+def test_degree_two_stencil_is_bit_exact_on_the_vehicle():
+    dyn, bar = lateral_dynamics(), obstacle_barrier()
+    unc = NormalizedUncertainty(theta=0.5, scale=1.3)
+    rng = np.random.default_rng(7)
+    states = _states_with_signed_zeros(rng, np.array([3.0, 2.0, 0.2, 0.5, 25.0]), 40)
+    states.append(np.array([-0.0, -0.0, 0.0, -0.0, -0.0]))
+    for x in states:
+        _assert_same_terms(barrier_terms(bar, dyn, unc, x), _nested_terms(bar, dyn, unc, x))
+    # without grad both levels of the stencil are finite differences
+    bar_fd = replace(bar, grad=None)
+    for x in states[:10]:
+        _assert_same_terms(barrier_terms(bar_fd, dyn, unc, x),
+                           _nested_terms(bar_fd, dyn, unc, x))
+
+
+def test_degree_two_stencil_is_bit_exact_on_a_non_quadratic_barrier():
+    # positions (x0, x1) driven through velocities (x2, x3); h has no grad,
+    # so psi itself is a finite difference.  The atan2 term sees the sign of
+    # a zero x1, so the test also pins which stencil points carry -0.0.
+    B = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    dyn = Dynamics(f=lambda x: np.array([x[2], x[3], -np.sin(x[0]), -0.3 * x[3] * abs(x[3])]),
+                   g=lambda x: B, n=4, m=2)
+    bar = Barrier(h=lambda x: (2.0 - x[0] ** 4 - np.cosh(x[1])
+                               + 0.01 * np.arctan2(x[1], x[0] - 3.0)),
+                  degree=2, gains=pole_gains(-2.0, -3.0))
+    unc = NormalizedUncertainty(theta=0.2, scale=0.8)
+    rng = np.random.default_rng(11)
+    for x in _states_with_signed_zeros(rng, np.array([1.0, 1.0, 2.0, 2.0]), 40):
+        _assert_same_terms(barrier_terms(bar, dyn, unc, x), _nested_terms(bar, dyn, unc, x))

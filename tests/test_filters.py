@@ -1,5 +1,8 @@
 """Safety-filter routes: projections, minimality, soundness, dispatch."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +17,7 @@ from rcbf_shield.filters import (
     filter_socp,
     robust_margin,
 )
+from rcbf_shield.sectors import worst_case_input
 from rcbf_shield.verify import check_wide_scale_stress
 
 
@@ -385,3 +389,110 @@ def test_scalar_filter_is_sound_and_minimal(p, theta, a1, sign, u0v):
         for frac in (0.25, 0.5, 0.75):
             mid = u0 + frac * (res.u - u0)
             assert robust_margin(p, a, mid, theta) < 1e-9
+
+
+def _bits(x) -> bytes:
+    return struct.pack("<d", float(x))
+
+
+def _scalar_reference(p, a, u0, theta, u_max=None):
+    """The interval route on one-element arrays, its certificate from
+    `robust_margin` and `worst_case_input`: (u, margin, w_star)."""
+    a, u0 = np.array([a]), np.array([u0])
+    u = u0.copy() if u_max is None else np.clip(u0, -u_max, u_max)
+    if not robust_margin(p, a, u, theta) >= 0.0:
+        av, uv = float(a[0]), float(u0[0])
+        if av == 0.0:
+            raise InfeasibleError(
+                f"input direction vanished (a = 0) with negative drift term p = {p}",
+                degenerate=True)
+        lo_slope = -p / ((1.0 - theta) * av)
+        hi_slope = -p / ((1.0 + theta) * av)
+        if av > 0.0:
+            u_l = max(lo_slope, hi_slope)
+            hi = math.inf if u_max is None else u_max
+            if u_l > hi:
+                raise InfeasibleError(
+                    f"feasible interval [{u_l}, inf) lies outside the bound {hi}")
+            u = np.array([min(max(uv, u_l if u_max is None else max(u_l, -u_max)), hi)])
+        else:
+            u_h = min(lo_slope, hi_slope)
+            lo = -math.inf if u_max is None else -u_max
+            if u_h < lo:
+                raise InfeasibleError(
+                    f"feasible interval (-inf, {u_h}] lies outside the bound {lo}")
+            u = np.array([max(min(uv, u_h if u_max is None else min(u_h, u_max)), lo)])
+    w = worst_case_input(u, a, theta) if a[0] != 0.0 else np.zeros(1)
+    return float(u[0]), robust_margin(p, a, u, theta), float(w[0])
+
+
+def _scalar_corpus(n=3000, seed=20211):
+    """Instances (p, a, u0, theta, u_max) over signs, zeros and scales."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        a = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0))
+        u0 = float(rng.normal() * 10.0 ** rng.uniform(-2.0, 2.0))
+        p = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 4.0))
+        theta = float(rng.uniform(0.0, 0.95))
+        u_max = None
+        if i % 7 == 0:
+            u0 = float(rng.choice([0.0, -0.0]))
+        if i % 11 == 0:
+            p = float(rng.choice([0.0, -0.0]))
+        if i % 5 == 0:
+            theta = 0.0
+        if i % 13 == 0:
+            a = float(rng.choice([0.0, -0.0]))
+        if i % 3 == 0:  # the box: from well inside the answer to far out
+            u_max = float(10.0 ** rng.uniform(-2.0, 3.0))
+        out.append((p, a, u0, theta, u_max))
+    return out
+
+
+def test_scalar_route_is_bit_exact_against_the_array_certificate():
+    seen = {"unaltered": 0, "interval": 0, "box binds": 0, "box slack": 0,
+            "outside the bound": 0, "degenerate": 0, "zero baseline": 0}
+    for p, a, u0, theta, u_max in _scalar_corpus():
+        try:
+            want = _scalar_reference(p, a, u0, theta, u_max)
+        except InfeasibleError as err:
+            with pytest.raises(InfeasibleError) as got:
+                filter_scalar(p, np.array([a]), np.array([u0]), theta, u_max=u_max)
+            assert str(got.value) == str(err)
+            assert got.value.degenerate == err.degenerate
+            seen["degenerate" if err.degenerate else "outside the bound"] += 1
+            continue
+        res = filter_scalar(p, np.array([a]), np.array([u0]), theta, u_max=u_max)
+        assert res.u.shape == res.w_star.shape == (1,)
+        got = (res.u[0], res.margin, res.w_star[0])
+        assert [_bits(v) for v in got] == [_bits(v) for v in want], (p, a, u0, theta, u_max)
+        assert res.altered == (abs(want[0] - u0) > 1e-8)
+        seen["interval" if res.altered else "unaltered"] += 1
+        seen["zero baseline"] += u0 == 0.0
+        if u_max is not None:
+            seen["box binds" if abs(want[0]) == u_max else "box slack"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_scalar_route_keeps_its_argument_errors():
+    one, two = np.array([1.0]), np.array([1.0, 2.0])
+    cases = [
+        ((0.0, two, np.zeros(2), 0.5), {}, "interval route needs one channel"),
+        ((0.0, one, np.zeros(2), 0.5), {}, "shape mismatch"),
+        ((np.nan, one, one, 0.5), {}, "constraint data must be finite"),
+        ((0.0, np.array([np.inf]), one, 0.5), {}, "constraint data must be finite"),
+        ((0.0, one, np.array([-np.inf]), 0.5), {}, "constraint data must be finite"),
+        ((0.0, two, np.array([np.nan, 0.0]), 0.5), {}, "constraint data must be finite"),
+        ((0.0, one, one, 1.0), {}, "uncertainty level"),
+        ((0.0, one, one, -0.1), {}, "uncertainty level"),
+        ((0.0, one, one, 0.5), {"u_max": 0.0}, "box bounds must be positive"),
+        ((0.0, one, one, 0.5), {"u_max": -2.0}, "box bounds must be positive"),
+        ((0.0, one, one, 0.5), {"u_max": np.nan}, "box bounds must be positive"),
+    ]
+    for args, kwargs, message in cases:
+        with pytest.raises(ValueError, match=message):
+            filter_scalar(*args, **kwargs)
+    # scalars and one-element lists stand for one channel, as before
+    res = filter_scalar(-1.0, 1.0, [0.0], 0.5, u_max=np.array([3.0]))
+    assert res.u.tolist() == [2.0]
