@@ -17,12 +17,15 @@ p + a @ u - sum_i theta_i |a_i| |u_i| >= 0.  All routes first try the
 baseline: when its projection onto the input box (u0 without a box)
 meets the constraint, it is the answer.  Otherwise the cone routes take
 the exact dual root (see `_dual_root`), with or without a box: a 1-D
-monotone search in the constraint's multiplier over a closed-form prox.
-The ball route under a box finds its prox's two inner scalars by a walk
-over the sorted clip breakpoints instead of a root search (see
-`_boxed_ball_root`).  No filter runs the interior-point solver: it
-solves the paper's cone program only in `ball_oracle`, the self-checks'
-independent oracle.
+monotone search in the constraint's multiplier over a closed-form prox,
+two-dimensional on the ball route without a box (`_ball_root`), a search
+over the sorted kinks of a piecewise-linear margin on the split route
+(`_split_root`), and Newton on the margin's closed-form slope under a box
+(`_boxed_ball_root`).  Every route runs in one pass on plain floats from
+its checks to its result; the cone routes evaluate one margin on arrays,
+the certificate of the returned u, which is its reported margin.  No
+filter runs the interior-point solver: it solves the paper's cone
+program only in `ball_oracle`, the self-checks' independent oracle.
 
 Optionally a symmetric box |u_i| <= u_max_i restricts the input set;
 infeasibility against the box is raised as an error, never relaxed.
@@ -31,17 +34,16 @@ infeasibility against the box is raised as an error, never relaxed.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import mul, sub
 from typing import Callable, Optional
 
 import numpy as np
 
-from .sectors import (
-    DegenerateGradientError,
-    in_level_range,
-    per_channel_worst_case,
-    worst_case_input,
-)
+# worst_case_input is no route's any more; it stays a module attribute,
+# which the traced benchmark wraps
+from .sectors import DegenerateGradientError, in_level_range, worst_case_input  # noqa: F401
 from .socp import ConeProgram, SocBlock, SocpResult, solve_socp
 
 __all__ = [
@@ -114,15 +116,19 @@ def channel_margin(p: float, a, u, theta_vec) -> float:
     return float(p + a @ u - (theta_vec * np.abs(a)) @ np.abs(u))
 
 
-def _validate(p, a, u0) -> tuple[float, np.ndarray, np.ndarray]:
+def _inputs(p, a, u0) -> tuple[float, np.ndarray, list, list]:
+    """p, a as an array, and a and u0 as lists of floats, checked as
+    `filter_scalar` checks them."""
     p = float(p)
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    u0 = np.atleast_1d(np.asarray(u0, dtype=float))
+    # np.atleast_1d(np.asarray(x, dtype=float)) in one call
+    a = np.array(a, dtype=float, ndmin=1, copy=None)
+    u0 = np.array(u0, dtype=float, ndmin=1, copy=None)
     if a.ndim != 1 or u0.shape != a.shape:
         raise ValueError(f"shape mismatch: a {a.shape}, u0 {u0.shape}")
-    if not (math.isfinite(p) and np.all(np.isfinite(a)) and np.all(np.isfinite(u0))):
+    al, ul = a.tolist(), u0.tolist()
+    if not (math.isfinite(p) and all(map(math.isfinite, al + ul))):
         raise ValueError("constraint data must be finite")
-    return p, a, u0
+    return p, a, al, ul
 
 
 def _scalar_theta(theta) -> float:
@@ -132,110 +138,180 @@ def _scalar_theta(theta) -> float:
     return theta
 
 
-def _box(u_max, m: int) -> Optional[np.ndarray]:
+def _per_channel(x, m: int) -> np.ndarray:
+    """x as a float array broadcast to m channels."""
+    x = np.asarray(x, dtype=float)
+    return x if x.shape == (m,) else np.broadcast_to(x, (m,))
+
+
+def _bounds(u_max, m: int) -> Optional[list]:
     if u_max is None:
         return None
-    ub = np.broadcast_to(np.asarray(u_max, dtype=float), (m,)).astype(float)
-    if not np.all(np.isfinite(ub)) or np.any(ub <= 0.0):
+    ub = [float(u_max)] * m if isinstance(u_max, float) else _per_channel(u_max, m).tolist()
+    if not all(0.0 < b < math.inf for b in ub):
         raise ValueError("box bounds must be positive and finite")
     return ub
 
 
-def _baseline(p: float, a: np.ndarray, u0: np.ndarray, ub: Optional[np.ndarray],
-              margin: Callable[[np.ndarray], float]) -> Optional[np.ndarray]:
-    """Box projection of u0 (the answer: the box holds the feasible set)
-    when it meets the robust constraint, else None.  With a = 0 no input
-    moves the constraint, so it either holds here or cannot be met."""
-    u = u0.copy() if ub is None else np.clip(u0, -ub, ub)
-    if margin(u) >= 0.0:
-        return u
-    if not a.any():
+def _dot(x, y) -> float:
+    return sum(map(mul, x, y))
+
+
+def _clip(u: list, ub: list) -> list:
+    return [max(-b, min(b, x)) for x, b in zip(u, ub)]
+
+
+def _try_baseline(u: list, al: list, p: float, margin: Callable[[list], float],
+                  certificate: Callable[[np.ndarray], float]
+                  ) -> tuple[Optional[np.ndarray], float]:
+    """(u as an array, its certificate) when the box projection u of u0
+    meets the robust constraint (the answer: the box holds the feasible
+    set), else (None, g0) with g0 < 0 its margin, g(0) of the dual root.
+    The test runs in floats and a pass is confirmed by the certificate.
+    With a = 0 no input moves the constraint, so it either holds here or
+    cannot be met."""
+    g0 = margin(u)
+    if g0 >= 0.0:
+        ua = np.array(u)
+        g0 = certificate(ua)
+        if g0 >= 0.0:
+            return ua, g0
+    if not any(al):
         raise InfeasibleError(
             f"input direction vanished (a = 0) with negative drift term p = {p}",
             degenerate=True)
-    return None
+    return None, g0
 
 
-def _ball_worst_case(u: np.ndarray, a: np.ndarray, theta: float) -> np.ndarray:
-    return worst_case_input(u, a, theta) if a.any() else np.zeros(u.size)
+def _box_limit(best: list, g0: float, p: float, margin: Callable[[list], float],
+               certificate: Callable[[np.ndarray], float]) -> tuple[Optional[np.ndarray], float]:
+    """Whether the dual root runs, from the box's best-margin input `best`:
+    (None, g0) when best clears the constraint in floats.  Otherwise the
+    margin is at most 0 all over the box, so best is the one candidate:
+    (best as an array, its certificate) when that is >= 0, and else no
+    input in the box is safe."""
+    if margin(best) > 0.0:
+        return None, g0
+    ua = np.array(best)
+    cert = certificate(ua)
+    if cert < 0.0:
+        raise InfeasibleError(
+            f"no input within the box satisfies the robust constraint (p={p})")
+    return ua, cert
 
 
-def _illinois(f: Callable[[float], float], lo: float, hi: float, flo: float,
-              fhi: float) -> float:
-    """Upper end hi of a root bracket of a nondecreasing f, flo < 0 <= fhi,
-    so f(hi) >= 0: Illinois regula falsi, bisecting when the secant leaves
-    the bracket, down to a relative width of 1e-15."""
-    side = 0
-    for _ in range(200):  # a bound only: 1e-15 is reached far sooner
-        if fhi == 0.0 or hi - lo <= 1e-15 * hi:
-            break
-        x = (lo * fhi - hi * flo) / (fhi - flo)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        fx = f(x)
-        if fx < 0.0:
-            lo, flo = x, fx
-            if side < 0:
-                fhi *= 0.5
-            side = -1
-        else:
-            hi, fhi = x, fx
-            if side > 0:
-                flo *= 0.5
-            side = 1
-    return hi
+def _dual_root(lam: float, shrink: Callable[[float], list], margin: Callable[[list], float],
+               certificate: Callable[[np.ndarray], float], kinks: list = ()
+               ) -> tuple[np.ndarray, list, float]:
+    """The answer of a cone route whose box-projected baseline fails, from
+    a root lam of its dual: u as an array and as a list, and its
+    certificate.
 
-
-def _multiplier(g: Callable[[float], float], g0: float, aa: float) -> float:
-    """Root in lam of the nondecreasing g, given g(0) = g0 < 0 and
-    aa = ||a||^2: bracketed by doubling from -g0 / aa, then refined by
-    `_illinois`, so g >= 0 at the answer."""
-    lo, glo = 0.0, g0
-    hi = max(-glo / max(aa, 1e-300), 1e-300)
-    while not (ghi := g(hi)) >= 0.0:  # NaN (overflow) is unmet
-        if hi > 1e300:
-            raise InfeasibleError("no multiplier meets the robust constraint")
-        lo, glo, hi = hi, ghi, 2.0 * hi
-    return _illinois(g, lo, hi, glo, ghi)
-
-
-def _dual_root(p: float, a: np.ndarray, u0: np.ndarray, theta, ub: Optional[np.ndarray],
-               margin: Callable[[np.ndarray], float], ball: bool) -> np.ndarray:
-    """Exact answer of a cone route whose box-projected baseline fails.
-
-    u(lam) = shrink(u0 + lam * a) minimizes ||u - u0||^2 / 2 - lam * margin(u)
-    over the input set, so g(lam) = margin(u(lam)), minus the derivative of
-    the concave dual, is continuous and nondecreasing.  shrink is the prox
-    of the penalty plus the box: per-channel (split) soft thresholding then
-    the clip, both separable, or block (ball) soft thresholding; the ball
-    route under a box has its own prox (see `_boxed_ball_root`).  The root
-    in lam is taken by `_multiplier`, so g >= 0 at the answer: the margin
-    is certified.
+    u(lam) = shrink(lam), the prox of the route's penalty plus the box at
+    u0 + lam * a, minimizes ||u - u0||^2 / 2 - lam * margin(u) over the
+    input set, so g(lam) = margin(u(lam)), minus the derivative of the
+    concave dual, is continuous and nondecreasing.  The routes search its
+    root on plain floats from g(0), the failing baseline's margin
+    (`_ball_root`, `_split_root`, `_boxed_ball_root`).  From there lam
+    steps up by a doubling ulp step until the float margin of u is >= 0,
+    and then until the certificate, `robust_margin` or `channel_margin` of
+    the array u, is: the one array evaluation of a call, so the reported
+    margin is >= 0 exactly.  A step that leaves u as it was (the box holds
+    every channel) is certified as it stands.  When a certificate fails
+    where no channel moves until the next of the route's sorted `kinks`,
+    lam jumps to that kink, where u moves again, rather than doubling its
+    way past it.
     """
-    kappa = theta * float(np.linalg.norm(a))
-    if ball and ub is not None:
-        return _boxed_ball_root(p, a, u0, kappa, ub, margin)
-    load = theta * np.abs(a)
-    if ub is not None:
-        # the best margin in the box: each channel at its bound along a_i
-        if margin(np.sign(a) * ub) < 0.0:
-            raise InfeasibleError(
-                f"no input within the box satisfies the robust constraint (p={p})")
+    step, last = math.ulp(lam), None
+    while True:
+        u = shrink(lam)
+        if margin(u) >= 0.0 or u == last:
+            ua = np.array(u)
+            cert = certificate(ua)
+            if cert >= 0.0:
+                return ua, u, cert
+            i = bisect_right(kinks, lam)
+            if i < len(kinks) and shrink(0.5 * (lam + kinks[i])) == u:
+                # u is piecewise linear in lam: the same u at the midpoint
+                # means no channel moves before the next kink
+                lam, step, last = kinks[i], math.ulp(kinks[i]), None
+                continue
+        if lam > 1e300:
+            raise InfeasibleError("no multiplier meets the robust constraint")
+        last, lam, step = u, lam + step, 2.0 * step
+
+
+def _ball_root(p: float, al: list, ul: list, theta: float, norm_a: float,
+               g0: float) -> tuple[float, Callable[[float], list]]:
+    """Dual root lam of the ball route without a box, and its prox.
+
+    u(lam) is block soft thresholding of v = u0 + lam * a by lam * kappa,
+    kappa = theta * ||a||: u = c * v with c = max(0, 1 - lam * kappa / ||v||).
+    Its margin needs only two coordinates of v: with d = a / ||a||,
+    t = d @ v = d @ u0 + lam * ||a|| and ||v|| = hypot(t, r), r the part of
+    u0 across a.  So g(lam) = p + ||a|| * c * (t - theta * ||v||) and its
+    slope cost O(1) per evaluation.
+    """
+    kappa, d = theta * norm_a, [x / norm_a for x in al]
+    t0 = _dot(d, ul)
+    r = math.hypot(*[x - t0 * y for x, y in zip(ul, d)])
+
+    def gd(lam):
+        t = t0 + lam * norm_a
+        n, k = math.hypot(t, r), lam * kappa
+        if n <= k:
+            return p, 0.0
+        c, w = 1.0 - k / n, t - theta * n
+        dc = -kappa / n * (1.0 - lam * norm_a / n * (t / n))
+        return p + norm_a * c * w, norm_a * (dc * w + c * norm_a * (1.0 - theta * t / n))
 
     def shrink(lam):
-        v = u0 + lam * a
-        if not ball:
-            u = np.sign(v) * np.maximum(np.abs(v) - lam * load, 0.0)
-            return u if ub is None else np.clip(u, -ub, ub)
-        k, norm_v = lam * kappa, float(np.linalg.norm(v))
+        v = [x + lam * y for x, y in zip(ul, al)]
+        k, norm_v = lam * kappa, math.hypot(*v)
         if norm_v <= k:
-            return np.zeros(v.size)
-        return v * (1.0 - k / norm_v)
+            return [0.0] * len(v)
+        c = 1.0 - k / norm_v
+        return [x * c for x in v]
 
-    def g(lam):
-        return margin(shrink(lam))
+    return _newton_root(gd, g0, norm_a * norm_a), shrink
 
-    return shrink(_multiplier(g, g(0.0), float(a @ a)))
+
+def _split_root(al: list, ul: list, load: list, bl: list, g0: float,
+                shrink: Callable[[float], list], margin: Callable[[list], float]
+                ) -> tuple[float, list]:
+    """Dual root lam of the split route, g(lam) the margin of its prox, and
+    the sorted kinks of g.
+
+    Channel i adds d * clip(u0_i + lam * d, lo, hi) to g twice: for its
+    positive part (d = a_i - theta_i |a_i|, [lo, hi] = [0, ub_i]) and its
+    negative part (d = a_i + theta_i |a_i|, [-ub_i, 0]).  So g is piecewise
+    linear with kinks where u0_i + lam * d meets an end.  A binary search
+    over the sorted kinks brackets the root by g's values there, and the
+    root is interpolated on that segment, where g is linear.  Past the last
+    kink g has slope sum_i (|a_i| - theta_i |a_i|)^2 without a box.  Under a
+    box it is flat there at the box's best margin, which `_box_limit` has
+    found > 0, so only rounding can leave the root past it: then twice the
+    last kink, where every channel sits at its bound, is returned.
+    """
+    kinks, slope = [], 0.0
+    for x, y, l, b in zip(ul, al, load, bl):
+        if y != 0.0:
+            for d, lo, hi in ((y - l, 0.0, b), (y + l, -b, 0.0)):
+                kinks += [k for k in ((lo - x) / d, (hi - x) / d) if 0.0 < k < math.inf]
+            if b == math.inf:
+                slope += (abs(y) - l) ** 2
+    kinks.sort()
+    lo, glo, hi, ghi = 0.0, g0, None, None
+    i, j = 0, len(kinks)
+    while i < j:
+        mid = (i + j) // 2
+        if (gm := margin(shrink(kinks[mid]))) >= 0.0:
+            j, hi, ghi = mid, kinks[mid], gm
+        else:
+            i, lo, glo = mid + 1, kinks[mid], gm
+    if hi is None:
+        return (lo - glo / slope if slope > 0.0 else 2.0 * lo), kinks
+    return lo + (hi - lo) * (-glo / (ghi - glo)), kinks
 
 
 def _breakpoints(x: list, ub: list, below: float) -> tuple[list, list]:
@@ -268,15 +344,30 @@ def _box_reach(a: list, ub: list, kappa: float) -> float:
             return math.sqrt(clamped / (k2 - f))
 
 
-def _shrink_scale(v: list, ub: list, k: float, norm_v: float) -> float:
-    """The s in (0, 1] with ||clip(s * v)|| * (1 - s) / s = k, 0 < k < ||v||.
+def _channel_sums(v: list, al: list, ub: list, s: float) -> tuple:
+    """Which channels clip(s * v) clamps (s |v_i| >= ub_i), and over the
+    clamped ones sum ub_i^2 and a @ u, over the free ones v @ v, a @ v and
+    a @ a."""
+    clamped = a_c = free = a_v = a_a = 0.0
+    mask = []
+    for x, y, b in zip(v, al, ub):
+        if s * abs(x) >= b:
+            mask.append(True)
+            clamped += b * b
+            a_c += y * math.copysign(b, x)
+        else:
+            mask.append(False)
+            free += x * x
+            a_v += y * x
+            a_a += y * y
+    return mask, clamped, a_c, free, a_v, a_a
 
-    On the segment before the first breakpoint ub_i / |v_i| nothing is
-    clamped and s = 1 - k / ||v||.  Past it, with C and F as in
-    `_box_reach`, phi(s) = k - sqrt(C / s^2 + F) * (1 - s) is increasing
-    and concave, so Newton from the segment's left end climbs to the root
-    from below and never leaves the segment.
-    """
+
+def _shrink_scale(v: list, ub: list, k: float, norm_v: float) -> float:
+    """The s in (0, 1] with ||clip(s * v)|| * (1 - s) / s = k, 0 < k < ||v||,
+    by a walk over the sorted breakpoints ub_i / |v_i|: s = 1 - k / ||v||
+    on the segment before the first one, else `_segment_root` on the
+    first segment whose end meets the equation."""
     pts, free = _breakpoints(v, ub, 1.0)
     if not pts or k >= norm_v * (1.0 - pts[0][0]):
         return 1.0 - k / norm_v
@@ -287,58 +378,142 @@ def _shrink_scale(v: list, ub: list, k: float, norm_v: float) -> float:
         f = free[j + 1]
         if k * end >= math.sqrt(clamped + f * end * end) * (1.0 - end):
             break
+    return _segment_root(clamped, f, k, s)
+
+
+def _segment_root(clamped: float, free: float, k: float, t: float) -> float:
+    """The root s of sqrt(C + F s^2) * (1 - s) = k * s, C = clamped > 0 and
+    F = free.  The tangent of the convex N(s) = sqrt(C + F s^2) at any
+    point lies below it, so the root of the tangent's quadratic equation
+    is a lower bound of s: from the tangent at t in (0, 1] (t itself when
+    it lies below the root), then at each new bound, the bounds climb to
+    the root quadratically."""
+    n = math.sqrt(clamped + free * t * t)
+    s = t if n * (1.0 - t) >= k * t else 0.0
     for _ in range(100):  # a bound only: quadratic convergence ends far sooner
-        n = math.sqrt(clamped + f * s * s)
-        r = n * (1.0 - s) - k * s  # -s * phi(s), > 0 below the root
-        if r <= 0.0:
-            break
-        nxt = min(s + r * s * n / (clamped + f * s * s * s), end)
-        if not nxt > s:
-            break
-        s = nxt
+        c0, c1 = clamped / n, free * t / n  # the tangent c0 + c1 * s
+        q = c0 - c1 + k
+        x = 2.0 * c0 / (q + math.sqrt(q * q + 4.0 * c0 * c1))  # c1 s^2 + q s = c0
+        if x - s <= 4e-16 * x:
+            return max(s, x)
+        s = t = x
+        n = math.sqrt(clamped + free * t * t)
     return s
 
 
-def _boxed_ball_root(p: float, a: np.ndarray, u0: np.ndarray, kappa: float,
-                     ub: np.ndarray, margin: Callable[[np.ndarray], float]) -> np.ndarray:
-    """`_dual_root` of the ball route under the box |u_i| <= ub_i.
+def _newton_root(gd: Callable[[float], tuple[float, float]], g0: float, aa: float) -> float:
+    """Upper end hi of a root bracket of the nondecreasing g, g(hi) >= 0,
+    of relative width 1e-15, given g(0) = g0 < 0 and aa = ||a||^2;
+    gd(lam) returns g(lam) and its slope.
+
+    The first step goes to -g0 / aa, and each next one is Newton's from the
+    latest point.  Once a step is below the bracket rule, twice it closes
+    the bracket from the other side.  With no upper end yet, a step that
+    does not move up doubles instead.  After that, a step that leaves the
+    bracket, or one that follows two crossings of the root which did not
+    halve the bracket (Newton cycling about a kink), takes the Illinois
+    secant, or bisection when that leaves the bracket too.
+    """
+    lo, hi, ghi = 0.0, math.inf, math.inf
+    flo, fhi, side = g0, math.inf, -1  # the secant's values; Illinois halves the end kept twice
+    x, gx, dx = lo, g0, 0.0
+    widths, crossed = [math.inf, math.inf], [False, False]  # over the last two steps
+    for i in range(400):  # a bound only
+        if i == 0:
+            y = max(-g0 / max(aa, 1e-300), 1e-300)
+        else:
+            step = -gx / dx if dx > 0.0 else math.nan
+            y = x + (2.0 * step if abs(step) <= 0.5e-15 * abs(x + step) else step)
+            if y == x:
+                y = math.nextafter(x, math.inf if step > 0.0 else -math.inf)
+        if hi == math.inf:
+            if not lo < y:
+                if lo > 1e300:
+                    raise InfeasibleError("no multiplier meets the robust constraint")
+                y = 2.0 * lo
+        elif not (lo < y < hi and i < 100) or (all(crossed) and hi - lo > 0.5 * widths[0]):
+            y = (lo * fhi - hi * flo) / (fhi - flo)
+            if not (lo < y < hi and i < 100):
+                y = 0.5 * (lo + hi)
+        x, (gx, dx) = y, gd(y)
+        new = 1 if gx >= 0.0 else -1  # NaN (overflow) is unmet, with no slope to follow
+        crossed = [crossed[1], new != side]
+        if new > 0:
+            hi, ghi, fhi = x, gx, gx
+            if side > 0:
+                flo *= 0.5
+        else:
+            if not gx < 0.0:
+                gx, dx = -math.inf, 0.0
+            lo, flo = x, gx
+            if side < 0:
+                fhi *= 0.5
+        side = new
+        if hi < math.inf and (hi - lo <= 1e-15 * hi or ghi == 0.0):
+            return hi
+        widths = [widths[1], hi - lo]
+    return hi
+
+
+def _boxed_ball_root(p: float, al: list, ul: list, theta: float, norm_a: float, bl: list,
+                     g0: float) -> tuple[float, Callable[[float], list]]:
+    """Dual root lam of the ball route under the box |u_i| <= ub_i, and its
+    prox.
 
     The prox of lam * kappa * ||u|| plus the box at v = u0 + lam * a is 0
-    when ||v|| <= lam * kappa, else clip(s * v) with s from
-    `_shrink_scale`.  Whether the box admits a safe input is decided first
-    from its best margin, at clip(t * a) with t from `_box_reach` (the
-    corner sign(a) * ub when kappa = 0).  Both scalars and the search in
-    lam run on plain floats; the answer is then certified with `margin`,
-    stepping lam up from its last ulp while the certified margin is below 0.
+    when ||v|| <= lam * kappa, else clip(s * v) with s in (0, 1] the root of
+    ||clip(s * v)|| * (1 - s) / s = lam * kappa.  With the clamped channels
+    fixed, C = sum ub_i^2 over them and F = sum v_i^2 over the rest, that
+    is N(s) * (1 - s) = lam * kappa * s with N(s) = sqrt(C + F s^2), solved
+    by `_segment_root`.  The channels clamped at the previous evaluation's
+    s give the first try, kept when they are the ones clamped at its root;
+    else `_shrink_scale` walks the breakpoints.  The root in lam is found
+    by `_newton_root`: on the free channels u_F = s * v_F, and with
+    n = ||u||, differentiating n * (1 - s) = lam * kappa * s and
+    g = p + a @ u - kappa * n gives g's slope in closed form.
     """
-    al, ul, bl = a.tolist(), u0.tolist(), ub.tolist()
-    if kappa > 0.0:
-        best = np.clip(_box_reach(al, bl, kappa) * a, -ub, ub)
-    else:
-        best = np.sign(a) * ub
-    if margin(best) < 0.0:
-        raise InfeasibleError(
-            f"no input within the box satisfies the robust constraint (p={p})")
+    kappa = theta * norm_a
+    last = [math.nan, (None, 0.5, None)]  # the latest lam and prox(lam): s starts the next one
 
-    def shrink(lam):
+    def prox(lam):
+        """v, s and the `_channel_sums` at s; s = 0 when u = 0."""
+        if lam == last[0]:  # the search's last point, which the answer takes
+            return last[1]
         v = [x + lam * y for x, y in zip(ul, al)]
         k, norm_v = lam * kappa, math.hypot(*v)
         if norm_v <= k:
-            return [0.0] * len(v)
-        s = _shrink_scale(v, bl, k, norm_v) if k > 0.0 else 1.0
+            return v, 0.0, None
+        if k == 0.0:
+            return v, 1.0, _channel_sums(v, al, bl, 1.0)
+        hint = last[1][1]
+        sums = _channel_sums(v, al, bl, hint)
+        mask, clamped, _, free, _, _ = sums
+        s = _segment_root(clamped, free, k, hint) if clamped > 0.0 else 1.0 - k / norm_v
+        if [s * abs(x) >= b for x, b in zip(v, bl)] != mask:
+            s = _shrink_scale(v, bl, k, norm_v)
+            sums = _channel_sums(v, al, bl, s)
+        last[:] = lam, (v, s, sums)
+        return v, s, sums
+
+    def shrink(lam):
+        v, s, _ = prox(lam)
         return [max(-b, min(b, s * x)) for x, b in zip(v, bl)]
 
-    def g(lam):
-        u = shrink(lam)
-        return p + sum(x * y for x, y in zip(al, u)) - kappa * math.hypot(*u)
+    def gd(lam):
+        v, s, sums = prox(lam)
+        if s == 0.0:
+            return p, 0.0
+        _, clamped, a_c, free, a_v, a_a = sums
+        n = math.sqrt(clamped + s * s * free)  # ||u||
+        g = p + (a_c + s * a_v) - theta * n * norm_a
+        if kappa == 0.0 or n == 0.0:
+            return g, a_a
+        k = lam * kappa
+        ds = (kappa * s - (1.0 - s) * s * s * a_v / n) / ((1.0 - s) * s * free / n - n - k)
+        dn = (s * ds * free + s * s * a_v) / n
+        return g, ds * a_v + s * a_a - kappa * dn
 
-    lam = _multiplier(g, margin(np.clip(u0, -ub, ub)), float(a @ a))
-    step = math.ulp(lam)
-    while margin(u := np.array(shrink(lam))) < 0.0:
-        if lam > 1e300:
-            raise InfeasibleError("no multiplier meets the robust constraint")
-        lam, step = lam + step, 2.0 * step
-    return u
+    return _newton_root(gd, g0, norm_a * norm_a), shrink
 
 
 def ball_oracle(p: float, a: np.ndarray, u0: np.ndarray, theta: float,
@@ -441,22 +616,46 @@ def filter_scalar(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS) -> FilterR
     return FilterResult(np.array([u]), np.array([w_star]), margin(u), abs(u - uv) > tol)
 
 
+def _ball_result(ua: np.ndarray, u: list, cert: float, ul: list, al: list, theta: float,
+                 norm_a: float, tol: float) -> FilterResult:
+    coef = -theta * math.hypot(*u)  # w* = -theta ||u|| a / ||a||, as worst_case_input
+    w_star = [coef * x / norm_a for x in al] if norm_a > 0.0 else [0.0] * len(al)
+    return FilterResult(ua, np.array(w_star), cert, math.hypot(*map(sub, u, ul)) > tol,
+                        0.5 * _dot(u, u))
+
+
 def filter_socp(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS) -> FilterResult:
     """Ball-route filter: minimize ||u - u0|| s.t. theta*||a||*||u|| <= p + a @ u
     (and the box), exactly by the dual root."""
-    p, a, u0 = _validate(p, a, u0)
+    p, a, al, ul = _inputs(p, a, u0)
     theta = _scalar_theta(theta)
-    ub = _box(u_max, a.size)
+    ub = _bounds(u_max, len(al))
+    norm_a = math.hypot(*al)  # a @ a underflows below ~1e-162, hypot does not
 
-    def margin(v):
-        return robust_margin(p, a, v, theta)
+    def margin(u):
+        return p + _dot(al, u) - theta * math.hypot(*u) * norm_a
 
-    u = _baseline(p, a, u0, ub, margin)
-    if u is None:
-        u = _dual_root(p, a, u0, theta, ub, margin, ball=True)
-    return FilterResult(u=u, w_star=_ball_worst_case(u, a, theta), margin=margin(u),
-                        altered=bool(np.linalg.norm(u - u0) > tol),
-                        q_star=0.5 * float(u @ u))
+    def certificate(u):
+        return robust_margin(p, a, u, theta)
+
+    u = ul if ub is None else _clip(ul, ub)
+    # the margin of ua, its certificate; while ua is None the failing g(0)
+    ua, value = _try_baseline(u, al, p, margin, certificate)
+    if ua is None and ub is not None:
+        kappa = theta * norm_a
+        if kappa > 0.0:  # clip(t * a), t from _box_reach on a / ||a||, where no square underflows
+            t = _box_reach([x / norm_a for x in al], ub, theta) / norm_a
+            u = [max(-b, min(b, t * x)) for x, b in zip(al, ub)]
+        else:  # the corner along a; the channels with a_i = 0 do not count
+            u = [b if y > 0.0 else -b if y < 0.0 else x for x, y, b in zip(u, al, ub)]
+        ua, value = _box_limit(u, value, p, margin, certificate)
+    if ua is None:
+        if ub is None:
+            lam, shrink = _ball_root(p, al, ul, theta, norm_a, value)
+        else:
+            lam, shrink = _boxed_ball_root(p, al, ul, theta, norm_a, ub, value)
+        ua, u, value = _dual_root(lam, shrink, margin, certificate)
+    return _ball_result(ua, u, value, ul, al, theta, norm_a, tol)
 
 
 def filter_qp_channels(p, a, u0, theta, u_max=None,
@@ -466,23 +665,47 @@ def filter_qp_channels(p, a, u0, theta, u_max=None,
     the dual root.  The level may differ per channel.  Also reports the
     split u = u_pos - u_neg, |u| = u_pos + u_neg, with u_pos * u_neg = 0.
     """
-    p, a, u0 = _validate(p, a, u0)
-    m = a.size
-    theta_vec = np.broadcast_to(np.asarray(theta, dtype=float), (m,)).astype(float)
-    if not in_level_range(theta_vec):
+    p, a, al, ul = _inputs(p, a, u0)
+    m = len(al)
+    theta_vec = _per_channel(theta, m)
+    tl = theta_vec.tolist()
+    if not all(map(in_level_range, tl)):
         raise ValueError("per-channel levels must lie in [0, 1)")
-    ub = _box(u_max, m)
+    ub = _bounds(u_max, m)
+    load = [t * abs(x) for t, x in zip(tl, al)]  # theta_i |a_i|, as channel_margin
 
-    def margin(v):
-        return channel_margin(p, a, v, theta_vec)
+    def margin(u):
+        return p + _dot(al, u) - _dot(load, map(abs, u))
 
-    u = _baseline(p, a, u0, ub, margin)
-    if u is None:
-        u = _dual_root(p, a, u0, theta_vec, ub, margin, ball=False)
-    return FilterResult(u=u, w_star=per_channel_worst_case(u, a, theta_vec),
-                        margin=margin(u), altered=bool(np.linalg.norm(u - u0) > tol),
-                        q_star=0.5 * float(u @ u),
-                        u_pos=np.clip(u, 0.0, None), u_neg=np.clip(-u, 0.0, None))
+    def certificate(u):
+        return channel_margin(p, a, u, theta_vec)
+
+    u = ul if ub is None else _clip(ul, ub)
+    # the margin of ua, its certificate; while ua is None the failing g(0)
+    ua, value = _try_baseline(u, al, p, margin, certificate)
+    if ua is None and ub is not None:
+        # the best margin in the box: each channel at its bound along a_i
+        u = [b if y > 0.0 else -b if y < 0.0 else x for x, y, b in zip(u, al, ub)]
+        ua, value = _box_limit(u, value, p, margin, certificate)
+    if ua is None:
+        bl = ub or [math.inf] * m
+        rows = list(zip(ul, al, load, bl))
+
+        def shrink(lam):
+            # soft thresholding by lam * theta_i |a_i|, then the clip
+            u = []
+            for x, y, l, b in rows:
+                v, k = x + lam * y, lam * l
+                u.append(max(-b, min(b, v - k if v > k else v + k if v < -k else 0.0)))
+            return u
+
+        lam, kinks = _split_root(al, ul, load, bl, value, shrink, margin)
+        ua, u, value = _dual_root(lam, shrink, margin, certificate, kinks)
+    w_star = [-t * abs(x) * (1.0 if y > 0.0 else -1.0 if y < 0.0 else 0.0)
+              for t, x, y in zip(tl, u, al)]
+    return FilterResult(ua, np.array(w_star), value, math.hypot(*map(sub, u, ul)) > tol,
+                        0.5 * _dot(u, u), np.array([x if x > 0.0 else 0.0 for x in u]),
+                        np.array([-x if x < 0.0 else 0.0 for x in u]))
 
 
 def filter_auto(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS,

@@ -496,3 +496,390 @@ def test_scalar_route_keeps_its_argument_errors():
     # scalars and one-element lists stand for one channel, as before
     res = filter_scalar(-1.0, 1.0, [0.0], 0.5, u_max=np.array([3.0]))
     assert res.u.tolist() == [2.0]
+
+
+# ---------------------------------------------------------------------------
+# The cone routes as they ran on arrays before they moved to plain floats,
+# kept as the reference of the float routes: the same checks and messages,
+# the baseline, and the dual root over the numpy prox (the ball route under
+# a box walks its clip breakpoints, with Newton for the shrink scale).
+
+
+def _ref_illinois(f, lo, hi, flo, fhi):
+    side = 0
+    for _ in range(200):
+        if fhi == 0.0 or hi - lo <= 1e-15 * hi:
+            break
+        x = (lo * fhi - hi * flo) / (fhi - flo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = f(x)
+        if fx < 0.0:
+            lo, flo = x, fx
+            if side < 0:
+                fhi *= 0.5
+            side = -1
+        else:
+            hi, fhi = x, fx
+            if side > 0:
+                flo *= 0.5
+            side = 1
+    return hi
+
+
+def _ref_multiplier(g, g0, aa):
+    lo, glo = 0.0, g0
+    hi = max(-glo / max(aa, 1e-300), 1e-300)
+    while not (ghi := g(hi)) >= 0.0:
+        if hi > 1e300:
+            raise InfeasibleError("no multiplier meets the robust constraint")
+        lo, glo, hi = hi, ghi, 2.0 * hi
+    return _ref_illinois(g, lo, hi, glo, ghi)
+
+
+def _ref_breakpoints(x, ub, below):
+    pts = sorted((b / abs(xi), b * b, xi * xi) for xi, b in zip(x, ub) if b < below * abs(xi))
+    free = [0.0] * (len(pts) + 1)
+    free[-1] = sum(xi * xi for xi, b in zip(x, ub) if not b < below * abs(xi))
+    for j in range(len(pts) - 1, -1, -1):
+        free[j] = free[j + 1] + pts[j][2]
+    return pts, free
+
+
+def _ref_box_reach(a, ub, kappa):
+    pts, free = _ref_breakpoints(a, ub, math.inf)
+    k2, clamped = kappa * kappa, 0.0
+    for j, (_, b2, _) in enumerate(pts):
+        clamped += b2
+        f = free[j + 1]
+        if j + 1 == len(pts) or (f < k2 and clamped <= (k2 - f) * pts[j + 1][0] ** 2):
+            return math.sqrt(clamped / (k2 - f))
+
+
+def _ref_shrink_scale(v, ub, k, norm_v):
+    pts, free = _ref_breakpoints(v, ub, 1.0)
+    if not pts or k >= norm_v * (1.0 - pts[0][0]):
+        return 1.0 - k / norm_v
+    clamped = 0.0
+    for j, (s, b2, _) in enumerate(pts):
+        clamped += b2
+        end = pts[j + 1][0] if j + 1 < len(pts) else 1.0
+        f = free[j + 1]
+        if k * end >= math.sqrt(clamped + f * end * end) * (1.0 - end):
+            break
+    for _ in range(100):
+        n = math.sqrt(clamped + f * s * s)
+        r = n * (1.0 - s) - k * s
+        if r <= 0.0:
+            break
+        nxt = min(s + r * s * n / (clamped + f * s * s * s), end)
+        if not nxt > s:
+            break
+        s = nxt
+    return s
+
+
+def _ref_boxed_ball_root(p, a, u0, kappa, ub, margin):
+    al, ul, bl = a.tolist(), u0.tolist(), ub.tolist()
+    if kappa > 0.0:
+        best = np.clip(_ref_box_reach(al, bl, kappa) * a, -ub, ub)
+    else:
+        best = np.sign(a) * ub
+    if margin(best) < 0.0:
+        raise InfeasibleError(
+            f"no input within the box satisfies the robust constraint (p={p})")
+
+    def shrink(lam):
+        v = [x + lam * y for x, y in zip(ul, al)]
+        k, norm_v = lam * kappa, math.hypot(*v)
+        if norm_v <= k:
+            return [0.0] * len(v)
+        s = _ref_shrink_scale(v, bl, k, norm_v) if k > 0.0 else 1.0
+        return [max(-b, min(b, s * x)) for x, b in zip(v, bl)]
+
+    def g(lam):
+        u = shrink(lam)
+        return p + sum(x * y for x, y in zip(al, u)) - kappa * math.hypot(*u)
+
+    lam = _ref_multiplier(g, margin(np.clip(u0, -ub, ub)), float(a @ a))
+    step = math.ulp(lam)
+    while margin(u := np.array(shrink(lam))) < 0.0:
+        if lam > 1e300:
+            raise InfeasibleError("no multiplier meets the robust constraint")
+        lam, step = lam + step, 2.0 * step
+    return u
+
+
+def _ref_dual_root(p, a, u0, theta, ub, margin, ball):
+    kappa = theta * float(np.linalg.norm(a))
+    if ball and ub is not None:
+        return _ref_boxed_ball_root(p, a, u0, kappa, ub, margin)
+    load = theta * np.abs(a)
+    if ub is not None and margin(np.sign(a) * ub) < 0.0:
+        raise InfeasibleError(
+            f"no input within the box satisfies the robust constraint (p={p})")
+
+    def shrink(lam):
+        v = u0 + lam * a
+        if not ball:
+            u = np.sign(v) * np.maximum(np.abs(v) - lam * load, 0.0)
+            return u if ub is None else np.clip(u, -ub, ub)
+        k, norm_v = lam * kappa, float(np.linalg.norm(v))
+        if norm_v <= k:
+            return np.zeros(v.size)
+        return v * (1.0 - k / norm_v)
+
+    def g(lam):
+        return margin(shrink(lam))
+
+    return shrink(_ref_multiplier(g, g(0.0), float(a @ a)))
+
+
+def _ref_filter(p, a, u0, theta, u_max=None, ball=True):
+    """u of the array-era filter_socp (ball) or filter_qp_channels."""
+    p = float(p)
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    u0 = np.atleast_1d(np.asarray(u0, dtype=float))
+    if a.ndim != 1 or u0.shape != a.shape:
+        raise ValueError(f"shape mismatch: a {a.shape}, u0 {u0.shape}")
+    if not (math.isfinite(p) and np.all(np.isfinite(a)) and np.all(np.isfinite(u0))):
+        raise ValueError("constraint data must be finite")
+    if ball:
+        theta = float(theta)
+        if not 0.0 <= theta < 1.0:
+            raise ValueError(f"uncertainty level must satisfy 0 <= theta < 1, got {theta}")
+    else:
+        theta = np.broadcast_to(np.asarray(theta, dtype=float), (a.size,)).astype(float)
+        if not np.all((theta >= 0.0) & (theta < 1.0)):
+            raise ValueError("per-channel levels must lie in [0, 1)")
+    ub = None
+    if u_max is not None:
+        ub = np.broadcast_to(np.asarray(u_max, dtype=float), (a.size,)).astype(float)
+        if not np.all(np.isfinite(ub)) or np.any(ub <= 0.0):
+            raise ValueError("box bounds must be positive and finite")
+
+    def margin(v):
+        if ball:
+            return robust_margin(p, a, v, theta)
+        return channel_margin(p, a, v, theta)
+
+    u = u0.copy() if ub is None else np.clip(u0, -ub, ub)
+    if margin(u) >= 0.0:
+        return u
+    if not a.any():
+        raise InfeasibleError(
+            f"input direction vanished (a = 0) with negative drift term p = {p}",
+            degenerate=True)
+    return _ref_dual_root(p, a, u0, theta, ub, margin, ball)
+
+
+def _split_prox(a, u0, theta, ub, lam):
+    u = np.sign(u0 + lam * a) * np.maximum(np.abs(u0 + lam * a) - lam * theta * np.abs(a), 0.0)
+    return u if ub is None else np.clip(u, -ub, ub)
+
+
+def _split_kinks(a, u0, theta, ub):
+    """lam > 0 where a channel's positive part (slope a_i - theta_i |a_i|)
+    leaves 0 or reaches ub_i, or its negative part (a_i + theta_i |a_i|)
+    leaves 0 or reaches -ub_i."""
+    bound = np.full(a.size, np.inf) if ub is None else ub
+    out = []
+    for x, y, t, b in zip(u0, a, theta, bound):
+        if y != 0.0:
+            for d, ends in ((y - t * abs(y), (0.0, b)), (y + t * abs(y), (0.0, -b))):
+                out += [k for k in ((e - x) / d for e in ends) if 0.0 < k < math.inf]
+    return sorted(out)
+
+
+_PARITY_KINDS = ("random", "tied", "on a kink", "past the last kink", "every channel clamped",
+                 "infeasible box")
+
+
+def _parity_corpus(n=1800, seed=20212):
+    """(kind, p, a, u0, theta, u_max, ball) over m 2..5 and scales 1e-2..1e4:
+    zero a_i, u0 entries of +-0.0 and p = 0 mixed in, plus the kinds above."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        kind = _PARITY_KINDS[i % len(_PARITY_KINDS)]
+        m = 2 + (i // len(_PARITY_KINDS)) % 4
+        ball = (i // 24) % 2 == 0 and kind not in ("on a kink", "past the last kink")
+        sa, su = 10.0 ** rng.uniform(-2.0, 4.0, size=2)
+        a = rng.normal(size=m) * sa
+        u0 = rng.normal(size=m) * su
+        theta = float(rng.uniform(0.0, 0.9)) if ball else rng.uniform(0.0, 0.9, size=m)
+        u_max = None
+        if kind in ("every channel clamped", "infeasible box") or (
+                kind not in ("past the last kink",) and (i // 48) % 2 == 1):
+            u_max = su * 10.0 ** rng.uniform(-1.0, 0.5, size=m)
+        if i % 5 == 0:
+            a[int(rng.integers(m))] = 0.0
+        if i % 7 == 0:
+            u0[int(rng.integers(m))] = float(rng.choice([0.0, -0.0]))
+        if kind == "tied":
+            a[1], u0[1] = a[0], u0[0]
+            if not ball:
+                theta[1] = theta[0]
+            if u_max is not None:
+                u_max[1] = u_max[0]
+        tv = theta if not ball else np.full(m, theta)
+        pen = (lambda u: robust_margin(0.0, a, u, theta)) if ball else (
+            lambda u: channel_margin(0.0, a, u, tv))
+        base = pen(u0 if u_max is None else np.clip(u0, -u_max, u_max))
+        p = -base - float(10.0 ** rng.uniform(-3.0, 1.0)) * sa * su
+        if i % 11 == 0:
+            p = 0.0
+        elif kind == "on a kink":
+            # a kink with the margin rising on both sides: next to a stretch
+            # where it stays flat at 0, where the array route stops depends
+            # on rounding (test_split_route_lands_on_a_kink_beside_a_flat_stretch
+            # holds the float route to the exact answer there)
+            kinks = _split_kinks(a, u0, tv, u_max)
+            ends = [0.0] + kinks + [2.0 * kinks[-1] if kinks else 1.0]
+            g = [pen(_split_prox(a, u0, tv, u_max, lam)) for lam in ends]
+            mid = [pen(_split_prox(a, u0, tv, u_max, 0.5 * (x + y))) for x, y in zip(ends, ends[1:])]
+            tol = 1e-9 * sa * su
+            rising = [j for j in range(1, len(ends) - 1)
+                      if mid[j - 1] + tol < g[j] < mid[j] - tol]
+            if rising:
+                p = -g[rising[int(rng.integers(len(rising)))]]
+        elif kind == "past the last kink":
+            kinks = _split_kinks(a, u0, tv, None)
+            far = 4.0 * (kinks[-1] if kinks else 1.0)
+            p = -pen(_split_prox(a, u0, tv, None, far))
+        elif kind in ("every channel clamped", "infeasible box"):
+            if ball:  # a box along |a|: its corner is the best input in it
+                a = np.where(a == 0.0, sa, a)
+                u_max = abs(a) * (su / sa)
+            best = pen(np.sign(a) * u_max)
+            p = -best
+            if kind == "infeasible box":
+                p -= abs(best) * float(10.0 ** rng.uniform(-3.0, 0.3))
+        out.append((kind, p, a, u0, theta, u_max, ball))
+    return out
+
+
+def test_float_routes_match_the_array_routes():
+    seen = {}
+    for kind, p, a, u0, theta, u_max, ball in _parity_corpus():
+        route, cert = (filter_socp, robust_margin) if ball else (filter_qp_channels, channel_margin)
+        args = (p, a, u0, theta)
+        try:
+            want = _ref_filter(*args, u_max=u_max, ball=ball)
+        except InfeasibleError:
+            try:
+                res = route(*args, u_max=u_max)
+            except InfeasibleError:
+                seen[kind, "infeasible"] = seen.get((kind, "infeasible"), 0) + 1
+                continue
+            # only where the box's best margin is 0 up to rounding may the
+            # float route certify an input that the array route missed
+            assert kind == "every channel clamped", (kind, args, u_max)
+            assert res.margin >= 0.0 and res.margin == cert(p, a, res.u, theta)
+            assert np.all(np.abs(res.u) <= u_max)
+            scale = abs(p) + float(np.abs(a) @ u_max)
+            assert abs(cert(p, a, np.sign(a) * u_max, theta)) <= 1e-14 * scale
+            seen[kind, "certified where the array route raised"] = seen.get(
+                (kind, "certified where the array route raised"), 0) + 1
+            continue
+        res = route(*args, u_max=u_max)
+        assert res.margin >= 0.0 and res.margin == cert(p, a, res.u, theta), (kind, args, u_max)
+        scale = max(1.0, float(np.linalg.norm(u0)), float(np.linalg.norm(res.u)))
+        assert np.linalg.norm(res.u - want) <= 1e-12 * scale, (kind, args, u_max)
+        if u_max is not None:
+            assert np.all(np.abs(res.u) <= u_max)
+        key = kind, ("ball" if ball else "split") + (" boxed" if u_max is not None else "")
+        seen[key] = seen.get(key, 0) + 1
+    for kind in _PARITY_KINDS[:-1]:
+        assert seen.get((kind, "split"), 0) + seen.get((kind, "split boxed"), 0) > 0, kind
+    for key in ("ball", "ball boxed", "split", "split boxed"):
+        assert seen.get(("random", key), 0) > 0, key
+    assert seen.get(("tied", "ball boxed"), 0) > 0
+    assert seen.get(("infeasible box", "infeasible"), 0) > 0
+    assert seen.get(("every channel clamped", "ball boxed"), 0) > 0
+    assert seen.get(("every channel clamped", "split boxed"), 0) > 0
+
+
+def test_cone_routes_keep_their_argument_errors():
+    two, three = np.array([1.0, -2.0]), np.array([1.0, 2.0, 3.0])
+    nan, inf = math.nan, math.inf
+    bad = [  # (p, a, u0, theta, u_max), theta a scalar; the split route also gets it per channel
+        (nan, two, two, 0.5, None), (inf, two, two, 0.5, None), (0.0, [1.0, nan], two, 0.5, None),
+        (0.0, two, [0.0, -inf], 0.5, None), (0.0, two, three, 0.5, None),
+        (0.0, two.reshape(2, 1), two.reshape(2, 1), 0.5, None), (0.0, [[1.0, 2.0]], two, 0.5, None),
+        (0.0, two, two, 1.0, None), (0.0, two, two, -0.1, None), (0.0, two, two, nan, None),
+        (0.0, two, two, 0.5, 0.0), (0.0, two, two, 0.5, -1.0), (0.0, two, two, 0.5, nan),
+        (0.0, two, two, 0.5, inf), (0.0, two, two, 0.5, [1.0, 0.0]), (0.0, two, two, 0.5, three),
+        (0.0, two, two, 0.5, np.ones((2, 2))),
+    ]
+    per_channel = [(0.0, two, two, [0.5, 1.0], None), (0.0, two, two, [0.5, nan], None),
+                   (0.0, two, two, [0.1, 0.2, 0.3], None), (0.0, two, two, np.full((2, 2), 0.5), None)]
+    checked = 0
+    for ball, cases in ((True, bad), (False, bad + per_channel)):
+        route = filter_socp if ball else filter_qp_channels
+        for p, a, u0, theta, u_max in cases:
+            with pytest.raises(Exception) as want:
+                _ref_filter(p, a, u0, theta, u_max=u_max, ball=ball)
+            with pytest.raises(Exception) as got:
+                route(p, a, u0, theta, u_max=u_max)
+            assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+            checked += 1
+    assert checked == 2 * len(bad) + len(per_channel)
+    # lists, 0-d arrays and numpy scalars stand for the arrays they make
+    for ball in (True, False):
+        route = filter_socp if ball else filter_qp_channels
+        theta = 0.3 if ball else [0.3, 0.6]
+        for p, a, u0, u_max in ((np.float64(-2.0), [1.0, -0.5], [0.0, 0.0], None),
+                                (-2.0, [1.0, -0.5], (0.5, 0.0), [4.0, 4.0]),
+                                (-1.0, np.array(2.0), np.array(-1.0), np.array(3.0))):
+            th = theta if ball or np.ndim(a) else 0.3
+            want = _ref_filter(p, a, u0, th, u_max=u_max, ball=ball)
+            res = route(p, a, u0, th, u_max=u_max)
+            assert res.u.shape == want.shape and np.abs(res.u - want).max() <= 1e-12
+            assert res.margin >= 0.0
+
+
+def test_ball_route_survives_an_underflowing_a_dot_a():
+    # a @ a underflows to 0 below |a| ~ 1e-162; ||a|| is taken with hypot
+    res = filter_socp(1.0, [1e-170, 0.0], [1.0, 0.0], 0.5)
+    assert np.array_equal(res.u, [1.0, 0.0]) and not res.altered
+    assert np.all(np.isfinite(res.w_star)) and res.w_star[0] < 0.0
+    for p, u0, u_max in ((-1e-300, [-1.0, 0.0], None), (-1e-300, [0.0, 0.0], None),
+                         (-1e-300, [-1.0, 2.0], 1.0), (-1e-300, [0.0, 0.0], 1.0),
+                         (-1.0, [0.0, 0.0], None), (-1.0, [0.0, 0.0], 1.0)):
+        try:
+            res = filter_socp(p, [1e-170, 0.0], u0, 0.5, u_max=u_max)
+        except InfeasibleError:
+            continue
+        assert res.margin >= 0.0 and res.margin == robust_margin(p, [1e-170, 0.0], res.u, 0.5)
+        assert np.all(np.isfinite(res.w_star))
+
+
+def test_split_route_lands_on_a_kink_beside_a_flat_stretch():
+    # p puts the root of g on a kink k, so u(k) is the exact answer.  Where
+    # no channel moves on one side of k, g stays 0 there and the sign of
+    # its rounding is arbitrary: a failed certificate must send the route
+    # on to where u moves again, not double its way past that point
+    rng = np.random.default_rng(31)
+    flat = 0
+    for i in range(1500):
+        m = 2 + i % 4
+        sa, su = 10.0 ** rng.uniform(-2.0, 4.0, size=2)
+        a, u0 = rng.normal(size=m) * sa, rng.normal(size=m) * su
+        theta = rng.uniform(0.0, 0.9, size=m)
+        u_max = su * 10.0 ** rng.uniform(-1.0, 0.5, size=m) if i % 2 else None
+        kinks = _split_kinks(a, u0, theta, u_max)
+        if not kinks:
+            continue
+        j = int(rng.integers(len(kinks)))
+        want = _split_prox(a, u0, theta, u_max, kinks[j])
+        p = -channel_margin(0.0, a, want, theta)
+        if u_max is not None and channel_margin(p, a, np.sign(a) * u_max, theta) <= 1e-12 * abs(p):
+            continue  # the box's best input: whether it certifies is rounding
+        res = filter_qp_channels(p, a, u0, theta, u_max=u_max)
+        scale = max(1.0, float(np.linalg.norm(u0)), float(np.linalg.norm(want)))
+        assert res.margin >= 0.0 and np.linalg.norm(res.u - want) <= 1e-12 * scale, (i, p)
+        sides = [0.5 * (x + kinks[j]) for x in ([kinks[j - 1]] if j else [0.0])
+                 + ([kinks[j + 1]] if j + 1 < len(kinks) else [])]
+        flat += any(np.array_equal(_split_prox(a, u0, theta, u_max, lam), want) for lam in sides)
+    assert flat >= 20, flat
