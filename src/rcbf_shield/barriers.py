@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -36,6 +37,7 @@ __all__ = [
     "pole_gains",
     "gradient",
     "lie_f",
+    "StateValues",
     "barrier_terms",
     "input_direction_defect",
 ]
@@ -46,10 +48,14 @@ class Dynamics:
     """Input-affine control system xdot = f(x) + g(x) v.
 
     Attributes:
-        f: Drift field, maps state (n,) to (n,).
-        g: Input matrix, maps state (n,) to (n, m).
+        f: Drift field, maps state (n,) to an (n,) array.
+        g: Input matrix, maps state (n,) to an (n, m) array.
         n: State dimension.
         m: Input dimension.
+
+    The finite-difference stencils and the RK4 stages pass work arrays
+    that are overwritten after the call, so f and g must not keep their
+    argument.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -144,25 +150,52 @@ def input_direction_defect(barrier: Barrier, dyn: Dynamics, x) -> float:
     return float(np.linalg.norm(gradient(barrier, x) @ dyn.g(x)))
 
 
+class StateValues(NamedTuple):
+    """What `barrier_terms` evaluated at x on its way to (p, a), as the
+    callables returned it: f(x), g(x), grad h(x) (as `gradient` gives it)
+    and h(x)."""
+
+    f: np.ndarray
+    g: np.ndarray
+    grad: np.ndarray
+    h: float
+
+
 def barrier_terms(barrier: Barrier, dyn: Dynamics,
-                  uncertainty: NormalizedUncertainty, x) -> tuple[float, np.ndarray]:
-    """Constraint data (p, a) of p + a @ (u + w) >= 0 at the state x."""
+                  uncertainty: NormalizedUncertainty, x, values: bool = False):
+    """Constraint data (p, a) of p + a @ (u + w) >= 0 at the state x.
+
+    With values=True the result is (p, a, StateValues), so a caller that
+    needs f, g, grad h or h at the same x evaluates none of them again.
+    """
     x = np.asarray(x, dtype=float)
+    # ndarray.dot runs the BLAS kernels of @ (same bits), dispatched faster
+    fx, gx, hx = dyn.f(x), dyn.g(x), barrier.h(x)
+    grad = gradient(barrier, x)
     if barrier.degree == 1:
-        grad = gradient(barrier, x)
         eta = barrier.class_k if barrier.class_k is not None else linear_class_k()
-        p = float(grad @ dyn.f(x)) + float(eta(barrier.h(x)))
-        a = uncertainty.scale * (grad @ dyn.g(x))
-        return p, np.atleast_1d(np.asarray(a, dtype=float))
-    # degree 2: differentiate psi = L_f h numerically (its analytic gradient
-    # would need the Hessian of h, which callers are not asked to supply)
-    f, grad = dyn.f, barrier.grad
-    if grad is None:
-        grad = lambda y: _numeric_gradient(barrier.h, y)
-    psi = lambda y, fy: float(np.asarray(grad(y), dtype=float) @ fy)
-    grad_psi = _numeric_gradient(lambda y: psi(y, f(y)), x)
-    k0, k1 = barrier.gains
-    fx = f(x)
-    p = float(grad_psi @ fx) + k1 * psi(x, fx) + k0 * float(barrier.h(x))
-    a = uncertainty.scale * (grad_psi @ dyn.g(x))
-    return p, np.atleast_1d(np.asarray(a, dtype=float))
+        p = float(grad.dot(fx)) + float(eta(hx))
+        a = uncertainty.scale * grad.dot(gx)
+    else:
+        # degree 2: differentiate psi = grad_h @ f by central differences as
+        # _numeric_gradient takes them (its analytic gradient would need the
+        # Hessian of h, which callers are not asked to supply)
+        f, grad_h = dyn.f, barrier.grad
+        if grad_h is None:
+            grad_h = partial(_numeric_gradient, barrier.h)
+        plus, minus = x + 0.0, x.copy()
+        eps = 1e-6 * (1.0 + math.sqrt(minus.dot(minus)))
+        grad_psi = np.empty(x.size)
+        for i, xi in enumerate(x.tolist()):
+            plus[i], minus[i] = xi + eps, xi - eps
+            psi_plus = float(np.asarray(grad_h(plus), dtype=float).dot(f(plus)))
+            psi_minus = float(np.asarray(grad_h(minus), dtype=float).dot(f(minus)))
+            grad_psi[i] = (psi_plus - psi_minus) / (2.0 * eps)
+            plus[i], minus[i] = xi + 0.0, xi
+        k0, k1 = barrier.gains
+        p = float(grad_psi.dot(fx)) + k1 * float(grad.dot(fx)) + k0 * float(hx)
+        a = uncertainty.scale * grad_psi.dot(gx)
+    a = np.array(a, dtype=float, ndmin=1, copy=None)
+    if values:
+        return p, a, StateValues(fx, gx, grad, hx)
+    return p, a

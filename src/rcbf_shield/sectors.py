@@ -20,6 +20,7 @@ lambda* = ||a|| / (2 * theta * ||u||).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,11 +213,22 @@ def apply_nonlinearity(nl: SectorNonlinearity, bound: SectorBound, u,
 
 
 def worst_case_input(u, a, theta: float) -> np.ndarray:
-    """Admissible w minimizing a @ (u + w): w* = -theta*||u|| * a / ||a||."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    a = np.atleast_1d(np.asarray(a, dtype=float))
+    """Admissible w minimizing a @ (u + w): w* = -theta*||u|| * a / ||a||.
+
+    One channel runs on floats: with |x| = sqrt(x * x), ((-theta*|u|)*a)/|a|
+    repeats the IEEE operations numpy performs on one element (np.linalg.norm
+    takes sqrt(x @ x)), so the value is the same bit for bit.
+    """
+    u = np.array(u, dtype=float, ndmin=1, copy=None)
+    a = np.array(a, dtype=float, ndmin=1, copy=None)
     if not in_level_range(theta):
         raise ValueError(f"uncertainty level must satisfy 0 <= theta < 1, got {theta}")
+    if u.shape == a.shape == (1,):
+        uv, av = u.item(), a.item()
+        norm_a = math.sqrt(av * av)
+        if norm_a == 0.0:
+            raise DegenerateGradientError("constraint direction a is zero")
+        return np.array([((-theta * math.sqrt(uv * uv)) * av) / norm_a])
     norm_a = np.linalg.norm(a)
     if norm_a == 0.0:
         raise DegenerateGradientError("constraint direction a is zero")

@@ -12,6 +12,14 @@ the step (zero-order hold).  The adversary can be the nominal plant
 direction, or a scripted sector nonlinearity evaluated on the plant side
 and mapped back through w = v / scale - u.
 
+Each state is evaluated once: f(x), g(x), grad h(x) and h(x) come from
+`barrier_terms` alongside (p, a) and feed the h and hdot records, and
+xdot = f(x) + g(x) v from the hdot record is RK4's first stage.  A step
+with a degree-2 barrier on an n-state plant thus calls f 2n + 4 times,
+grad h 2n + 1 times (the 2n are the stencil points of psi), g 4 times and
+h once: 14, 11, 4 and 1 on the vehicle.  The records are byte for byte
+those of evaluating each quantity anew wherever it is used.
+
 Filter infeasibility at a step falls back to the baseline input and
 flags the step instead of aborting, so sweeps that brush infeasibility
 remain comparable.
@@ -25,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .barriers import Barrier, Dynamics, barrier_terms, gradient, input_direction_defect
+from .barriers import Barrier, Dynamics, barrier_terms, input_direction_defect
 from .filters import FILTER_MODES, InfeasibleError, filter_auto, robust_margin
 from .sectors import (
     NormalizedUncertainty,
@@ -119,6 +127,9 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
+        if not (math.isfinite(self.dt) and math.isfinite(self.horizon)):
+            raise ValueError(f"dt and horizon must be finite, got dt={self.dt}, "
+                             f"horizon={self.horizon}")
         if self.dt <= 0.0 or self.horizon < self.dt:
             raise ValueError(f"need dt > 0 and horizon >= dt, got dt={self.dt}, "
                              f"horizon={self.horizon}")
@@ -149,20 +160,49 @@ class SimulationResult:
 
 
 def step_rk4(dyn: Dynamics, uncertainty: NormalizedUncertainty, x, u, w,
-             dt: float) -> np.ndarray:
-    """One RK4 step of xdot = f(x) + g(x) * scale * (u + w), u and w held."""
+             dt: float, k1: Optional[np.ndarray] = None) -> np.ndarray:
+    """One RK4 step of xdot = f(x) + g(x) * scale * (u + w), u and w held.
+
+    k1, if given, must be f(x) + g(x) @ (scale * (u + w)) at this x, as
+    `simulate` has it from the hdot record; the step then evaluates f and
+    g at x no more.  The stage points x + c * k share one work array, which
+    f and g must not keep, and the stages and their weighted sum are
+    accumulated in place: the same IEEE operations in the same order as
+    the textbook expressions, so the result is the same to the bit.
+    """
     x = np.asarray(x, dtype=float)
-    v = uncertainty.scale * (np.atleast_1d(np.asarray(u, dtype=float))
-                             + np.atleast_1d(np.asarray(w, dtype=float)))
+    v = uncertainty.scale * (np.array(u, dtype=float, ndmin=1, copy=None)
+                             + np.array(w, dtype=float, ndmin=1, copy=None))
+    f, g = dyn.f, dyn.g
+    if k1 is None:
+        k1 = f(x) + g(x).dot(v)
+    half = 0.5 * dt
+    y = k1 * half
+    y += x
+    k2 = f(y) + g(y).dot(v)
+    np.multiply(k2, half, out=y)
+    y += x
+    k3 = f(y) + g(y).dot(v)
+    np.multiply(k3, dt, out=y)
+    y += x
+    k4 = f(y) + g(y).dot(v)
+    # x + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4), left to right, in k2
+    k2 *= 2.0
+    k2 += k1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= dt / 6.0
+    k2 += x
+    return k2
 
-    def rate(y):
-        return dyn.f(y) + dyn.g(y) @ v
 
-    k1 = rate(x)
-    k2 = rate(x + 0.5 * dt * k1)
-    k3 = rate(x + 0.5 * dt * k2)
-    k4 = rate(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _square(x: np.ndarray) -> float:
+    """x @ x, on a float for one entry."""
+    if x.size == 1:
+        xi = x.item()
+        return xi * xi
+    return float(x.dot(x))
 
 
 def _adversary_input(adv: Adversary, unc: NormalizedUncertainty, u: np.ndarray,
@@ -171,7 +211,10 @@ def _adversary_input(adv: Adversary, unc: NormalizedUncertainty, u: np.ndarray,
     if adv.kind == "nominal":
         return np.zeros(u.size)
     if adv.kind == "worst_case":
-        if theta_plant == 0.0 or np.linalg.norm(a) == 0.0 or np.linalg.norm(u) == 0.0:
+        # +0.0 wherever worst_case_input's |a| or |u| is 0: it takes
+        # |x| = sqrt(x @ x), which is 0 exactly when x @ x is, underflow
+        # included
+        if theta_plant == 0.0 or _square(a) == 0.0 or _square(u) == 0.0:
             return np.zeros(u.size)
         return worst_case_input(u, a, theta_plant)
     # scripted: evaluate v = phi(u) in the plant's sector, then invert the
@@ -212,8 +255,8 @@ def simulate(sc: Scenario) -> SimulationResult:
     x = sc.x0.copy()
     for k in range(n_steps + 1):
         t = times[k]
-        u0 = np.atleast_1d(np.asarray(sc.controller(x), dtype=float))
-        p, a = barrier_terms(barrier, dyn, unc, x)
+        u0 = np.array(sc.controller(x), dtype=float, ndmin=1, copy=None)
+        p, a, at_x = barrier_terms(barrier, dyn, unc, x, values=True)
         if sc.filter_mode == "off":
             u = u0
             margins[k] = robust_margin(p, a, u0, unc.theta)
@@ -232,11 +275,12 @@ def simulate(sc: Scenario) -> SimulationResult:
         v = unc.scale * (u + w)
         states[k] = x
         u0s[k], us[k], ws[k], vs[k] = u0, u, w, v
-        h_vals[k] = barrier.h(x)
-        hdot_vals[k] = float(gradient(barrier, x) @ (dyn.f(x) + dyn.g(x) @ v))
+        h_vals[k] = at_x.h
+        xdot = at_x.f + at_x.g.dot(v)  # RK4's first stage
+        hdot_vals[k] = float(at_x.grad.dot(xdot))
         if k < n_steps:
-            x = step_rk4(dyn, unc, x, u, w, sc.dt)
-            if not np.all(np.isfinite(x)):
+            x = step_rk4(dyn, unc, x, u, w, sc.dt, k1=xdot)
+            if not np.isfinite(x).all():
                 raise SimulationError(f"state diverged at t = {t + sc.dt:g}")
 
     return SimulationResult(name=sc.name, dt=sc.dt, times=times, states=states,

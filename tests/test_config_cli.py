@@ -192,6 +192,17 @@ def test_usage_errors_exit_one(capsys):
     assert main(["frobnicate"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("flag, value", [("--dt", "nan"), ("--horizon", "nan"),
+                                         ("--horizon", "inf"), ("--dt", "inf")])
+def test_non_finite_step_or_horizon_exits_one(tmp_path, capsys, flag, value):
+    assert main(["simulate", "--scenario", "fig3_recbf", flag, value,
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: dt and horizon must be finite")
+    assert f"{flag[2:]}={value}" in err
+    assert not os.listdir(tmp_path)
+
+
 def test_seed_flag_applies_to_random_adversary_only(tmp_path, capsys):
     assert main(["simulate", "--scenario", "fig3_recbf", "--seed", "4",
                  "--out", str(tmp_path)]) == EXIT_CONFIG
