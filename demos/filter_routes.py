@@ -1,12 +1,11 @@
 """Three routes to the same safe input.
 
 One scalar instance solved by the exact interval projection, the ball
-route and the positive/negative channel split. All three must land on
-the same u; the cone routes additionally report the epigraph value
-q = ||u||^2 / 2. A second, two-channel instance compares per-channel
-levels (split route) with one common level (ball route); past one
-channel both routes still solve exactly, by a prox step at the root of
-one monotone scalar function, with no cone solver.
+route and the per-channel split route. All three must land on the same
+u. A second, two-channel instance compares per-channel levels (split
+route) with one common level (ball route); past one channel both routes
+still solve exactly, by a prox step at the root of one monotone scalar
+function, with no cone solver.
 """
 
 import numpy as np
@@ -20,9 +19,8 @@ from rcbf_shield.filters import (
 
 
 def show(tag, res):
-    q = "-" if res.q_star is None else f"{res.q_star:.9f}"
     print(f"  {tag:<8} u = {np.array2string(res.u, precision=9)}  "
-          f"margin = {res.margin:+.2e}  q = {q}")
+          f"margin = {res.margin:+.2e}")
 
 
 def main():
@@ -43,8 +41,6 @@ def main():
     theta_vec = np.array([0.4, 0.1])
     res = filter_qp_channels(p, a, u0, theta_vec)
     show("split", res)
-    print(f"  split variables u_pos = {np.round(res.u_pos, 9)}, "
-          f"u_neg = {np.round(res.u_neg, 9)}")
     print(f"  per-channel worst case w* = {np.round(res.w_star, 9)}")
 
     # same instance at the common level: the coupled ball is more cautious

@@ -24,8 +24,10 @@ over the sorted kinks of a piecewise-linear margin on the split route
 (`_boxed_ball_root`).  Every route runs in one pass on plain floats from
 its checks to its result; the cone routes evaluate one margin on arrays,
 the certificate of the returned u, which is its reported margin.  No
-filter runs the interior-point solver: it solves the paper's cone
-program only in `ball_oracle`, the self-checks' independent oracle.
+filter runs the interior-point solver.  It solves the routes' cone
+programs only for the self-checks, as their independent oracle:
+`ball_program` (via `ball_oracle`) for the ball route and `split_program`
+for the split route.
 
 Optionally a symmetric box |u_i| <= u_max_i restricts the input set;
 infeasibility against the box is raised as an error, never relaxed.
@@ -43,7 +45,7 @@ import numpy as np
 
 # worst_case_input is no route's any more; it stays a module attribute,
 # which the traced benchmark wraps
-from .sectors import DegenerateGradientError, in_level_range, worst_case_input  # noqa: F401
+from .sectors import in_level_range, worst_case_input  # noqa: F401
 from .socp import ConeProgram, SocBlock, SocpResult, solve_socp
 
 __all__ = [
@@ -52,7 +54,9 @@ __all__ = [
     "FilterResult",
     "robust_margin",
     "channel_margin",
+    "ball_program",
     "ball_oracle",
+    "split_program",
     "filter_scalar",
     "filter_socp",
     "filter_qp_channels",
@@ -86,19 +90,12 @@ class FilterResult:
         w_star: Worst admissible uncertainty at u (zero vector when theta=0).
         margin: Robust constraint value at u; >= -1e-8 on success.
         altered: Whether u differs from the baseline beyond tolerance.
-        q_star: Epigraph value of the cone routes, 2*q_star == ||u||^2;
-            None for the interval route.
-        u_pos, u_neg: Split variables of the per-channel route,
-            u_pos = max(u, 0) and u_neg = max(-u, 0); else None.
     """
 
     u: np.ndarray
     w_star: np.ndarray
     margin: float
     altered: bool
-    q_star: Optional[float] = None
-    u_pos: Optional[np.ndarray] = None
-    u_neg: Optional[np.ndarray] = None
 
 
 def robust_margin(p: float, a, u, theta: float) -> float:
@@ -117,8 +114,8 @@ def channel_margin(p: float, a, u, theta_vec) -> float:
 
 
 def _inputs(p, a, u0) -> tuple[float, np.ndarray, list, list]:
-    """p, a as an array, and a and u0 as lists of floats, checked as
-    `filter_scalar` checks them."""
+    """p, a as an array, and a and u0 as lists of floats; a ValueError
+    unless a and u0 are 1-D of one shape and all data is finite."""
     p = float(p)
     # np.atleast_1d(np.asarray(x, dtype=float)) in one call
     a = np.array(a, dtype=float, ndmin=1, copy=None)
@@ -516,24 +513,21 @@ def _boxed_ball_root(p: float, al: list, ul: list, theta: float, norm_a: float, 
     return _newton_root(gd, g0, norm_a * norm_a), shrink
 
 
-def ball_oracle(p: float, a: np.ndarray, u0: np.ndarray, theta: float,
-                ub: Optional[np.ndarray] = None) -> SocpResult:
-    """The interior-point solver on the paper's ball-route cone program.
+def ball_program(p: float, a: np.ndarray, u0: np.ndarray, theta: float,
+                 ub: Optional[np.ndarray] = None) -> ConeProgram:
+    """The paper's ball-route cone program over z = (u, q).
 
-    Over z = (u, q): minimize q - u0 @ u s.t. theta*||a||*||u|| <= p + a @ u,
-    the rotated-cone epigraph ||(sqrt(2) u, q - 1)|| <= q + 1, i.e.
-    2q >= ||u||^2, and the box |u_i| <= ub_i if given.  The start is u0
-    when it strictly meets the constraint and lies strictly inside the box,
-    else a point along a != 0, where the margin grows at rate
-    (1-theta)*||a||.  No filter calls it: it is the self-checks' oracle.
+    Minimize q - u0 @ u s.t. theta*||a||*||u|| <= p + a @ u, the
+    rotated-cone epigraph ||(sqrt(2) u, q - 1)|| <= q + 1, i.e.
+    2q >= ||u||^2, and the box |u_i| <= ub_i if given.
     """
     m = a.size
     n = m + 1
-    norm_a = float(np.linalg.norm(a))
     span = np.hstack([np.eye(m), np.zeros((m, 1))])
     e_q = np.eye(n)[m]
     blocks = [
-        SocBlock(theta * norm_a * span, np.zeros(m), np.concatenate([a, [0.0]]), p),
+        SocBlock(theta * float(np.linalg.norm(a)) * span, np.zeros(m),
+                 np.concatenate([a, [0.0]]), p),
         SocBlock(np.vstack([math.sqrt(2.0) * span, e_q[None, :]]),
                  np.concatenate([np.zeros(m), [-1.0]]), e_q, 1.0),
     ]
@@ -541,12 +535,43 @@ def ball_oracle(p: float, a: np.ndarray, u0: np.ndarray, theta: float,
         for i in range(m):
             blocks += [SocBlock(np.zeros((0, n)), np.zeros(0), sign * span[i],
                                 float(ub[i])) for sign in (-1.0, 1.0)]
-    prog = ConeProgram(c=np.concatenate([-u0, [1.0]]), blocks=tuple(blocks), n_vars=n)
-    if robust_margin(p, a, u0, theta) > 0.0 and (ub is None or np.all(np.abs(u0) < ub)):
-        u_hint = u0
-    else:
-        u_hint = (1.0 + max(0.0, -p)) / ((1.0 - theta) * norm_a) * a / norm_a
-    return solve_socp(prog, z0=np.concatenate([u_hint, [0.5 * float(u_hint @ u_hint) + 1.0]]))
+    return ConeProgram(c=np.concatenate([-u0, [1.0]]), blocks=tuple(blocks), n_vars=n)
+
+
+def ball_oracle(p: float, a: np.ndarray, u0: np.ndarray, theta: float,
+                ub: Optional[np.ndarray] = None) -> SocpResult:
+    """The interior-point solver on `ball_program`.  No filter calls it: it
+    is the self-checks' oracle."""
+    return solve_socp(ball_program(p, a, u0, theta, ub))
+
+
+def split_program(p: float, a: np.ndarray, u0: np.ndarray, theta_vec: np.ndarray,
+                  ub: Optional[np.ndarray] = None) -> ConeProgram:
+    """The split route's cone program over z = (u+, u-, q), u = u+ - u-.
+
+    Minimize q - u0 @ u s.t. u+, u- >= 0, the one linear constraint
+    p + (a - theta*|a|) @ u+ - (a + theta*|a|) @ u- >= 0, the rotated-cone
+    epigraph 2q >= ||u+||^2 + ||u-||^2, and |u_i| <= ub_i if given.  Where
+    u+ and u- are complementary, the constraint is the per-channel margin
+    and the epigraph 2q >= ||u||^2; and the optimum is complementary, as
+    shrinking both sides of a channel keeps u, keeps or raises the margin
+    and lowers q.  So the optimal u is the split route's, and unique.
+    """
+    m = a.size
+    n = 2 * m + 1
+    load = theta_vec * np.abs(a)
+    span = np.hstack([np.eye(m), -np.eye(m), np.zeros((m, 1))])  # z -> u
+    e_q = np.eye(n)[2 * m]
+    blocks = [
+        SocBlock(np.zeros((0, n)), np.zeros(0), np.concatenate([a - load, -a - load, [0.0]]), p),
+        SocBlock(np.diag(np.concatenate([np.full(2 * m, math.sqrt(2.0)), [1.0]])),
+                 np.concatenate([np.zeros(2 * m), [-1.0]]), e_q, 1.0),
+    ]
+    blocks += [SocBlock(np.zeros((0, n)), np.zeros(0), row, 0.0) for row in np.eye(n)[:2 * m]]
+    if ub is not None:
+        blocks += [SocBlock(np.zeros((0, n)), np.zeros(0), sign * span[i], float(ub[i]))
+                   for i in range(m) for sign in (-1.0, 1.0)]
+    return ConeProgram(c=np.concatenate([-u0, u0, [1.0]]), blocks=tuple(blocks), n_vars=n)
 
 
 def filter_scalar(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS) -> FilterResult:
@@ -561,26 +586,15 @@ def filter_scalar(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS) -> FilterR
     margin (p + (a*u + 0.0)) - (theta*|u|)*|a| and w* = ((-theta*|u|)*a)/|a|
     repeat the IEEE operations of `robust_margin` and `worst_case_input` on
     one channel (a @ u sums from +0.0), so every value equals theirs bit
-    for bit.
+    for bit.  Where a * a is 0, underflow included, w* is +0.0 (there
+    `worst_case_input` raises).
     """
-    p = float(p)
-    # np.atleast_1d(np.asarray(x, dtype=float)) in one call
-    a = np.array(a, dtype=float, ndmin=1, copy=None)
-    u0 = np.array(u0, dtype=float, ndmin=1, copy=None)
-    if a.ndim != 1 or u0.shape != a.shape:
-        raise ValueError(f"shape mismatch: a {a.shape}, u0 {u0.shape}")
-    al, ul = a.tolist(), u0.tolist()
-    if not (math.isfinite(p) and all(map(math.isfinite, al + ul))):
-        raise ValueError("constraint data must be finite")
+    p, a, al, ul = _inputs(p, a, u0)
     theta = _scalar_theta(theta)
     if a.size != 1:
         raise ValueError(f"interval route needs one channel, got {a.size}")
     (av,), (uv,) = al, ul
-    bound = math.inf  # no box
-    if u_max is not None:
-        bound = float(np.broadcast_to(np.asarray(u_max, dtype=float), (1,))[0])
-        if not (math.isfinite(bound) and bound > 0.0):
-            raise ValueError("box bounds must be positive and finite")
+    bound = math.inf if u_max is None else _bounds(u_max, 1)[0]  # inf: no box
     norm_a = math.sqrt(av * av)
 
     def margin(v):
@@ -606,12 +620,8 @@ def filter_scalar(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS) -> FilterR
                 raise InfeasibleError(
                     f"feasible interval (-inf, {u_h}] lies outside the bound {-bound}")
             u = max(min(uv, min(u_h, bound)), -bound)
-    if av == 0.0:
-        w_star = 0.0
-    elif norm_a == 0.0:  # a * a underflowed, as in worst_case_input
-        raise DegenerateGradientError("constraint direction a is zero")
-    else:
-        w_star = ((-theta * math.sqrt(u * u)) * av) / norm_a
+    # +0.0 wherever a * a is 0, underflow included, as sim._adversary_input
+    w_star = 0.0 if norm_a == 0.0 else ((-theta * math.sqrt(u * u)) * av) / norm_a
     # positional: keywords cost a frozen dataclass another 0.5 us per call
     return FilterResult(np.array([u]), np.array([w_star]), margin(u), abs(u - uv) > tol)
 
@@ -620,8 +630,7 @@ def _ball_result(ua: np.ndarray, u: list, cert: float, ul: list, al: list, theta
                  norm_a: float, tol: float) -> FilterResult:
     coef = -theta * math.hypot(*u)  # w* = -theta ||u|| a / ||a||, as worst_case_input
     w_star = [coef * x / norm_a for x in al] if norm_a > 0.0 else [0.0] * len(al)
-    return FilterResult(ua, np.array(w_star), cert, math.hypot(*map(sub, u, ul)) > tol,
-                        0.5 * _dot(u, u))
+    return FilterResult(ua, np.array(w_star), cert, math.hypot(*map(sub, u, ul)) > tol)
 
 
 def filter_socp(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS) -> FilterResult:
@@ -662,8 +671,7 @@ def filter_qp_channels(p, a, u0, theta, u_max=None,
                        tol: float = TOL_FEAS) -> FilterResult:
     """Per-channel filter: minimize ||u - u0|| subject to
     p + a @ u - sum_i theta_i |a_i| |u_i| >= 0 (and the box), exactly by
-    the dual root.  The level may differ per channel.  Also reports the
-    split u = u_pos - u_neg, |u| = u_pos + u_neg, with u_pos * u_neg = 0.
+    the dual root.  The level may differ per channel.
     """
     p, a, al, ul = _inputs(p, a, u0)
     m = len(al)
@@ -703,9 +711,7 @@ def filter_qp_channels(p, a, u0, theta, u_max=None,
         ua, u, value = _dual_root(lam, shrink, margin, certificate, kinks)
     w_star = [-t * abs(x) * (1.0 if y > 0.0 else -1.0 if y < 0.0 else 0.0)
               for t, x, y in zip(tl, u, al)]
-    return FilterResult(ua, np.array(w_star), value, math.hypot(*map(sub, u, ul)) > tol,
-                        0.5 * _dot(u, u), np.array([x if x > 0.0 else 0.0 for x in u]),
-                        np.array([-x if x < 0.0 else 0.0 for x in u]))
+    return FilterResult(ua, np.array(w_star), value, math.hypot(*map(sub, u, ul)) > tol)
 
 
 def filter_auto(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS,

@@ -1,24 +1,35 @@
-"""Dense interior-point solver for small second-order cone programs.
+"""Dense homogeneous self-dual interior-point solver for small second-order
+cone programs.
 
 Solves
 
     minimize    c @ z
-    subject to  ||A_i @ z + b_i|| <= d_i @ z + e_i,    i = 1, ..., K,
+    subject to  ||A_i @ z + b_i|| <= d_i @ z + e_i,    i = 1, ..., K.
 
-by primal-dual path following.  Each constraint contributes a slack
-s_i = (d_i @ z + e_i, A_i @ z + b_i) kept in the second-order cone; the
-perturbed complementarity s_i o y_i = mu * e_i is linearized in
-Nesterov-Todd scaled variables and solved predictor-corrector style: an
-affine probe sets the centering weight (sigma = ratio of the probed to
-the current gap, cubed) and contributes its second-order term to the
-corrector right-hand side.  The condensed Newton system is factored by
-a dense LDL^T with diagonal regularization on breakdown, and steps obey
-a 0.99 fraction-to-boundary rule.
+Each constraint is a slack s_i = H_i @ z + k_i, with H_i = (d_i; A_i) and
+k_i = (e_i; b_i), held in the second-order cone.  The program and its
+dual, maximize -k @ y s.t. H' @ y = c with every y_i in the cone, are
+embedded in one homogeneous self-dual system in (z, y, tau; s, kappa):
 
-When the caller supplies no strictly interior point, phase 1 minimizes a
-shared constraint slack tau until the iterate clears every cone; the
-problem is declared infeasible when that merit value stalls for 10
-consecutive iterations while the violation stays above tol.
+    0     = c tau - H' y,    s = H z + k tau,    kappa = -c @ z - k @ y,
+
+which path following solves from its central point z = 0, s = y = e,
+tau = kappa = 1 (Andersen, Roos & Terlaky, Math. Prog. 2003; ECOS,
+Domahidi, Chu & Boyd, ECC 2013).  Its limit is either tau > 0, where
+(z, y) / tau is an optimal pair, or tau = 0 < kappa with H' y = 0 and
+k @ y < 0, a Farkas certificate that no z meets the cones.  So no start
+point is needed and infeasibility is decided, not guessed.
+
+Each iteration linearizes the complementarity s_i o y_i = mu e in
+Nesterov-Todd scaled variables, predictor-corrector style (Mehrotra): an
+affine probe sets the centering weight sigma = (1 - its step)^3 and
+contributes its second-order term to the corrector.  The Newton system
+reduces to (dz, dtau), with dz a least-squares solution in W^-1 H taken
+from its QR factors; steps obey a 0.99 fraction-to-boundary rule.  The
+loop stops on the residual and gap tests of `_hsd`, or once a step fails
+to shrink mu and the residuals as rounding takes over.  The last good
+iterate then goes to an active-set Newton polish, and is reported
+optimal only when its residuals certify it.
 
 Target problems have at most ~10 variables, so everything is dense, and
 identical inputs produce identical iterates.
@@ -28,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -46,11 +56,10 @@ STATUS_INFEASIBLE = "infeasible"
 STATUS_MAX_ITERATIONS = "max_iterations"
 STATUS_NUMERICAL_FAILURE = "numerical_failure"
 
-_MU_MIN = 1e-12
+_GAP_REL = 1e-12  # duality gap of a converged pair, relative to its objective
 _BOUNDARY_FRACTION = 0.99
 _SIGMA_MIN = 1e-9
 _SIGMA_MAX = 0.99
-_STALL_LIMIT = 10
 
 
 @dataclass(frozen=True)
@@ -147,121 +156,87 @@ def dump_program(prog: ConeProgram) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Jordan-algebra helpers for the second-order cone, head component first.
+# Jordan-algebra helpers for a stack of second-order cones, each block's head
+# component first; one call serves every block.
 
-def _jquad(x: np.ndarray) -> float:
-    # x' J x with J = diag(1, -I)
-    return float(x[0] * x[0] - x[1:] @ x[1:])
+class _Cones:
+    """Row layout of the blocks' stacked slacks: where each block starts,
+    the block of each row, and J = diag(1, -I) per block as a sign vector."""
 
+    def __init__(self, dims):
+        self.starts = np.concatenate([[0], np.cumsum(dims)[:-1]])
+        self.rows = np.repeat(np.arange(len(dims)), dims)
+        self.J = -np.ones(int(np.sum(dims)))
+        self.J[self.starts] = 1.0
 
-def _jflip(x: np.ndarray) -> np.ndarray:
-    out = x.copy()
-    out[1:] = -out[1:]
-    return out
+    def sum(self, x):
+        # per-block sums along the first axis
+        return np.add.reduceat(x, self.starts, axis=0)
 
+    def jdot(self, x, z):
+        # x' J z per block
+        return 2.0 * x[self.starts] * z[self.starts] - self.sum(x * z)
 
-def _arrow_solve(x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    # solve [[x0, xbar'], [xbar, x0 I]] y = r; nonsingular for interior x
-    det = _jquad(x)
-    y0 = (x[0] * r[0] - float(x[1:] @ r[1:])) / det
-    out = np.empty_like(r)
-    out[0] = y0
-    out[1:] = (r[1:] - y0 * x[1:]) / x[0]
-    return out
+    def interior(self, x) -> bool:
+        """Strict interiority of every block in the numerically usable sense."""
+        return bool((x[self.starts] > 0.0).all() and (self.jdot(x, x) > 0.0).all())
 
+    def jprod(self, x, v):
+        # Jordan product (x' v, x0 vbar + v0 xbar) per block
+        out = x[self.starts][self.rows] * v + v[self.starts][self.rows] * x
+        out[self.starts] = self.sum(x * v)
+        return out
 
-def _step_to_boundary(x: np.ndarray, dx: np.ndarray) -> float:
-    """sup of steps t with x + t*dx still interior to the cone."""
-    best = math.inf
-    if dx[0] < 0.0:
-        best = -x[0] / dx[0]
-    q0 = _jquad(x)
-    q1 = float(x[0] * dx[0] - x[1:] @ dx[1:])
-    q2 = _jquad(dx)
-    # smallest positive root of q2 t^2 + 2 q1 t + q0, which is positive at 0
-    if q2 == 0.0:
-        if q1 < 0.0:
-            best = min(best, -q0 / (2.0 * q1))
-        return best
-    disc = q1 * q1 - q2 * q0
-    if disc < 0.0:
-        return best
-    sq = math.sqrt(disc)
-    qq = -(q1 + math.copysign(sq, q1)) if q1 != 0.0 else -sq
-    for root in (qq / q2, q0 / qq if qq != 0.0 else -1.0):
-        if root > 0.0:
-            best = min(best, root)
-    return best
+    def arrow_solve(self, x, r):
+        # solve [[x0, xbar'], [xbar, x0 I]] y = r per block; nonsingular for
+        # interior x
+        y0 = self.jdot(x, r) / self.jdot(x, x)
+        out = (r - y0[self.rows] * x) / x[self.starts][self.rows]
+        out[self.starts] = y0
+        return out
 
+    def step_to_boundary(self, x, dx) -> float:
+        """sup of steps t with x + t*dx still interior to every cone; x and
+        dx may hold several stacked vectors as columns."""
+        # x + t dx leaves the cone where q(t) = q2 t^2 + 2 q1 t + q0, its
+        # J-quadratic, first reaches 0 (q0 > 0: x is interior).  The
+        # smaller positive root, written without cancellation, is
+        # q0 / (sqrt(disc) - q1) for q1 < 0 and -(q1 + sqrt(disc)) / q2 else
+        q0, q1, q2 = self.jdot(x, x), self.jdot(x, dx), self.jdot(dx, dx)
+        disc = q1 * q1 - q2 * q0
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            roots = np.where(q1 < 0.0, q0 / (sq - q1), -(q1 + sq) / q2)
+        return float(np.min(roots, where=(roots > 0.0) & (disc >= 0.0), initial=math.inf))
 
-def _nt_scaling(s: np.ndarray, y: np.ndarray):
-    """Scaling W with W @ y = W^-1 @ s; returns (eta, jw, w2inv, lam)."""
-    rs = _jquad(s)
-    ry = _jquad(y)
-    if not (rs > 0.0 and ry > 0.0 and s[0] > 0.0 and y[0] > 0.0):
-        return None
-    rs = math.sqrt(rs)
-    ry = math.sqrt(ry)
-    sb = s / rs
-    yb = y / ry
-    # plain inner product; positive for interior points, but roundoff near
-    # the boundary can push it past -1 once the normalizers are tiny
-    gsq = (1.0 + float(sb @ yb)) / 2.0
-    if not (gsq > 0.0 and math.isfinite(gsq)):
-        return None
-    gamma = math.sqrt(gsq)
-    v = (sb + _jflip(yb)) / (2.0 * gamma)  # v' J v = 1
-    eta = math.sqrt(rs / ry)
-    w = np.empty_like(v)  # Jordan square root of v
-    w[0] = math.sqrt((v[0] + 1.0) / 2.0)
-    w[1:] = v[1:] / (2.0 * w[0])
-    jv = _jflip(v)
-    dim = v.size
-    J = -np.eye(dim)
-    J[0, 0] = 1.0
-    w2inv = (2.0 * np.outer(jv, jv) - J) / (eta * eta)
-    lam = eta * (2.0 * float(w @ y) * w - _jflip(y))
-    return eta, _jflip(w), w2inv, lam
+    def nt_scaling(self, s, y):
+        """Scaling W with W @ y = W^-1 @ s = lam per block; returns
+        (eta, jw, lam), with W^-1 = (2 jw jw' - J) / eta (see `winv`), or
+        None once a block leaves the interior."""
+        rs, ry = self.jdot(s, s), self.jdot(y, y)
+        if not ((s[self.starts] > 0.0).all() and (y[self.starts] > 0.0).all()
+                and (rs > 0.0).all() and (ry > 0.0).all()):
+            return None
+        rs, ry = np.sqrt(rs), np.sqrt(ry)
+        sb, yb = s / rs[self.rows], y / ry[self.rows]
+        # plain inner product; positive for interior points, but roundoff near
+        # the boundary can push it past -1 once the normalizers are tiny
+        gsq = (1.0 + self.sum(sb * yb)) / 2.0
+        if not np.all((gsq > 0.0) & np.isfinite(gsq)):
+            return None
+        v = (sb + self.J * yb) / (2.0 * np.sqrt(gsq))[self.rows]  # v' J v = 1
+        eta = np.sqrt(rs / ry)
+        w0 = np.sqrt((v[self.starts] + 1.0) / 2.0)  # w, the Jordan square root of v
+        w = v / (2.0 * w0)[self.rows]
+        w[self.starts] = w0
+        lam = eta[self.rows] * (2.0 * self.sum(w * y)[self.rows] * w - self.J * y)
+        return eta, self.J * w, lam
 
-
-def _ldl_solve(M: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
-    """Solve M x = rhs via LDL^T; adds diagonal regularization on breakdown.
-
-    Two rounds of iterative refinement clean up the solution: near the cone
-    boundary the scaled Newton matrix gets ill-conditioned enough that the
-    raw triangular solves lose most of their digits.
-    """
-    n = M.shape[0]
-    scale = max(1.0, float(np.max(np.abs(np.diag(M)))))
-    reg = 0.0
-    for _ in range(6):
-        A = M if reg == 0.0 else M + reg * np.eye(n)
-        L = np.eye(n)
-        D = np.zeros(n)
-        ok = True
-        for j in range(n):
-            dj = A[j, j] - float((L[j, :j] ** 2) @ D[:j])
-            if not math.isfinite(dj) or dj <= 1e-14 * scale:
-                ok = False
-                break
-            D[j] = dj
-            if j + 1 < n:
-                L[j + 1:, j] = (A[j + 1:, j] - L[j + 1:, :j] @ (D[:j] * L[j, :j])) / dj
-        if ok:
-            def sub(b):
-                t = b.astype(float).copy()
-                for j in range(n):
-                    t[j] -= float(L[j, :j] @ t[:j])
-                t /= D
-                for j in reversed(range(n)):
-                    t[j] -= float(L[j + 1:, j] @ t[j + 1:])
-                return t
-            t = sub(rhs)
-            for _ in range(2):
-                t += sub(rhs - A @ t)
-            return t
-        reg = 1e-12 * scale if reg == 0.0 else reg * 100.0
-    return None
+    def winv(self, scal, x):
+        # W^-1 @ x, x a stacked vector or a matrix of stacked columns
+        col = (slice(None),) + (None,) * (x.ndim - 1)
+        eta, jw = scal[0][self.rows][col], scal[1][col]
+        return (2.0 * jw * self.sum(jw * x)[self.rows] - self.J[col] * x) / eta
 
 
 def _active_polish(prog: ConeProgram, z: np.ndarray, tol: float, nu0):
@@ -272,8 +247,11 @@ def _active_polish(prog: ConeProgram, z: np.ndarray, tol: float, nu0):
     see. With the active set read off the iterate, Newton on the KKT system
     of  min c'z  s.t.  d_j'z + e_j = ||A_j z + b_j||  (j active)  lands at
     machine precision in two or three steps. The polished point is kept only
-    when it passes feasibility, multiplier-sign, stationarity, and objective
-    checks, so a wrong active-set guess falls back to the iterate unchanged.
+    when it passes feasibility, multiplier-sign and stationarity checks,
+    which on a convex program make it a KKT point, so a wrong active-set
+    guess falls back to the iterate unchanged.  (Its objective is not
+    compared with the iterate's: the iterate need not be feasible, and
+    can sit below the optimum.)
     """
     n = prog.n_vars
     zn = float(np.linalg.norm(z))
@@ -320,11 +298,8 @@ def _active_polish(prog: ConeProgram, z: np.ndarray, tol: float, nu0):
         nu = nu + step[n:]
     if nu.size and float(np.min(nu)) < -1e-9 * (1.0 + float(np.max(np.abs(nu)))):
         return None
-    viol, obj = residuals(prog, zc)
+    viol, _ = residuals(prog, zc)
     if viol > tol * (1.0 + zn):
-        return None
-    obj_old = float(prog.c @ z)
-    if obj > obj_old + 1e-9 * (1.0 + abs(obj_old)):
         return None
     stat = prog.c.copy()
     duals = [np.zeros(blk.A.shape[0] + 1) for blk in prog.blocks]
@@ -343,268 +318,186 @@ def _active_polish(prog: ConeProgram, z: np.ndarray, tol: float, nu0):
     return zc, duals
 
 
-def _margins(Hs, ks, x) -> float:
-    """Smallest cone margin s0 - ||sbar|| over all blocks at x."""
-    worst = math.inf
-    for H, k in zip(Hs, ks):
-        s = H @ x + k
-        worst = min(worst, float(s[0] - np.linalg.norm(s[1:])))
-    return worst
+def _stacked(prog: ConeProgram):
+    """Every block's slack s_i = H_i @ z + k_i stacked: (H, k, cones)."""
+    H = np.vstack([np.vstack([blk.d[None, :], blk.A]) for blk in prog.blocks])
+    k = np.concatenate([np.concatenate([[blk.e], blk.b]) for blk in prog.blocks])
+    return H, k, _Cones([blk.A.shape[0] + 1 for blk in prog.blocks])
 
 
-def _interior(Hs, ks, x) -> bool:
-    """Strict interiority of every slack in the numerically usable sense."""
-    for H, k in zip(Hs, ks):
-        s = H @ x + k
-        if not (s[0] > 0.0 and _jquad(s) > 0.0):
-            return False
-    return True
+def _hsd(prog: ConeProgram, tol: float, max_iter: int):
+    """Path following on the self-dual embedding from its central point.
 
-
-def _path_follow(Hs, ks, c, x, tol, max_iter, monitor=None):
-    """Feasible-start path following; x must give strictly interior slacks.
-
-    Returns (outcome, x, y, iterations) with outcome one of converged /
-    max_iterations / stalled / numerical_failure, or a verdict string the
-    monitor callback produced.
+    Returns (outcome, z, y, iterations), y stacked as `_stacked` stacks the
+    slacks.  Outcome "optimal": the residuals are within tol of their
+    scales and the gap within _GAP_REL of the objective, with (z, y) the
+    pair scaled back by tau.  "infeasible": y is a Farkas certificate,
+    |H' y| <= tol * (-k @ y), so no z with ||z||_1 < 1/tol meets the
+    cones (y @ (H z + k) < 0 for each).
+    "unbounded": z is a ray of falling cost, |H z - s| <= tol * (-c @ z)
+    with s in the cones.  Else "max_iterations" or "stalled" (no interior
+    step or scaling left, or a step that shrank neither mu nor the
+    residuals) with the last good iterate scaled back.
     """
-    nblocks = len(Hs)
-    y = [np.zeros(H.shape[0]) for H in Hs]
-    for yi in y:
-        yi[0] = 1.0
-    # double precision bottoms out before mu reaches _MU_MIN on badly
-    # conditioned instances; keep the best iterate by mu + dual residual
-    # and hand it back on any abnormal exit so the caller can certify it
-    best_phi = math.inf
-    best_xy = (x, y)
-    no_improve = 0
+    H, k, cones = _stacked(prog)
+    c = prog.c
+    nb = len(prog.blocks)
+    heads = (cones.J > 0.0).astype(float)  # the identity e of every cone
+    x = np.zeros(c.size)
+    s, y = heads.copy(), heads.copy()
+    tau = kappa = 1.0
+    k_scale = 1.0 + float(np.max(np.abs(k)))
+    c_scale = 1.0 + float(np.max(np.abs(c)))
+    outcome = "max_iterations"
+    last = None
     it = 0
-    for it in range(1, max_iter + 1):
-        svals = [H @ x + k for H, k in zip(Hs, ks)]
-        gap = sum(float(s @ yi) for s, yi in zip(svals, y))
-        mu = gap / nblocks
-        rd = c - sum(H.T @ yi for H, yi in zip(Hs, y))
-        rd_norm = float(np.max(np.abs(rd)))
-        if monitor is not None:
-            verdict = monitor(x)
-            if verdict is not None:
-                return verdict, x, y, it
-        if mu <= _MU_MIN and rd_norm <= tol:
-            return "converged", x, y, it
-        # rank iterates by mu once the dual residual is inside the
-        # certification allowance; excess dual residual counts linearly so
-        # corrupted endgame steps never displace a clean one
-        phi = max(mu, 0.0) + max(0.0, rd_norm - 10.0 * tol)
-        if phi < 0.9 * best_phi:
-            best_phi = phi
-            best_xy = (x, y)
-            no_improve = 0
-        else:
-            no_improve += 1
-            if no_improve >= _STALL_LIMIT:
-                x, y = best_xy
-                return "stalled", x, y, it
-        n = x.size
-        M = np.zeros((n, n))
-        cache = []
-        broke = False
-        for H, s, yi in zip(Hs, svals, y):
-            scal = _nt_scaling(s, yi)
-            if scal is None:
-                broke = True
-                break
-            M += H.T @ scal[2] @ H
-            cache.append(scal)
-        if broke:
-            x, y = best_xy
-            return "numerical_failure", x, y, it
+    for it in range(max_iter):
+        hy = H.T @ y
+        rd = c * tau - hy
+        rp = H @ x + k * tau - s
+        cx, ky, sy = float(c @ x), float(k @ y), float(s @ y)
+        rg = -cx - ky - kappa
+        mu = (sy + tau * kappa) / (nb + 1)
+        rp_max, rd_max = float(np.max(np.abs(rp))), float(np.max(np.abs(rd)))
+        # in exact arithmetic every step shrinks mu and the residuals; once
+        # rounding in the direction undoes that, the path can go no further
+        # and the iterate before that step is the last good one
+        merit = mu + rp_max / k_scale + rd_max / c_scale
+        if last is not None and merit >= last[0]:
+            _, x, y, tau = last
+            outcome = "stalled"
+            break
+        last = (merit, x, y, tau)
+        if (rp_max <= tol * k_scale * tau and rd_max <= tol * c_scale * tau
+                and sy <= _GAP_REL * tau * (tau + abs(cx))):
+            outcome = "optimal"
+            break
+        if ky < 0.0 and float(np.max(np.abs(hy))) <= -tol * ky:
+            return "infeasible", x, y, it
+        if cx < 0.0 and float(np.max(np.abs(H @ x - s))) <= -tol * cx:
+            return "unbounded", x, y, it
 
-        def newton(dvecs):
-            # direction for per-block scaled complementarity targets dvecs
-            rhs = -rd.copy()
-            for H, (eta, jw, w2inv, lam), dvec in zip(Hs, cache, dvecs):
-                winv_d = (2.0 * float(jw @ dvec) * jw - _jflip(dvec)) / eta
-                rhs += H.T @ winv_d
-            dx = _ldl_solve(M, rhs)
-            if dx is None:
-                return None
-            dss, dys = [], []
-            for H, (eta, jw, w2inv, lam), dvec in zip(Hs, cache, dvecs):
-                ds = H @ dx
-                winv_d = (2.0 * float(jw @ dvec) * jw - _jflip(dvec)) / eta
-                dss.append(ds)
-                dys.append(winv_d - w2inv @ ds)
-            return dx, dss, dys
+        scal = cones.nt_scaling(s, y)
+        if scal is None:
+            outcome = "stalled"
+            break
+        # In scaled variables dyt = W dy the Newton system is
+        #   c dtau - B' dyt = -red rd,   B dz + g dtau + dyt = t,
+        #   -c' dz - g' dyt + (kappa / tau) dtau = t_tk / tau - red rg,
+        # with B = W^-1 H and g = W^-1 k.  dz solves a least-squares problem
+        # in B, taken from the QR factors of B: the normal matrix B' B
+        # squares a condition number that grows like 1/mu, and would stop
+        # the path many decades short.
+        Bg = cones.winv(scal, np.column_stack([H, k]))
+        B, g = Bg[:, :-1], Bg[:, -1]
+        wrp = cones.winv(scal, rp)
+        Q, R = np.linalg.qr(B)
+        try:
+            Rinv = np.linalg.inv(R)
+        except np.linalg.LinAlgError:
+            outcome = "stalled"
+            break
+        # dz = R^-1 (Q' t - R^-T red rd) - dtau x2.  dtau and dyt are summed
+        # from the parts of t and g off the range of B, as their difference
+        # with the parts on it cancels near the end; so is the pivot of dtau
+        Qg = Q.T @ g
+        gp = g - Q @ Qg
+        rc = Rinv.T @ c
+        x2 = Rinv @ (Qg + rc)
+        den = kappa / tau + float(gp @ gp) + float(rc @ rc)
+
+        def direction(v, t_tk, red):
+            # Newton step that takes each linear residual down by the factor
+            # 1 - red, with W dy + W^-1 ds = v and kappa dtau + tau dkappa = t_tk
+            t = v - red * wrp
+            Qt = Q.T @ t
+            rb = Rinv.T @ (red * rd)
+            x1 = Rinv @ (Qt - rb)
+            dtau = (float(gp @ t) + float(Qg @ rb) + float(c @ x1)
+                    - red * rg + t_tk / tau) / den
+            dx = x1 - dtau * x2
+            dyt = t - Q @ (Qt - rb - dtau * rc) - dtau * gp
+            ds = H @ dx + k * dtau + red * rp
+            return dx, ds, cones.winv(scal, dyt), dtau, (t_tk - kappa * dtau) / tau
+
+        def max_step(ds, dy, dtau, dkappa):
+            best = cones.step_to_boundary(np.stack([s, y], 1), np.stack([ds, dy], 1))
+            for v, dv in ((tau, dtau), (kappa, dkappa)):
+                if dv < 0.0:
+                    best = min(best, -v / dv)
+            return best
 
         # affine probe: full Newton step on s o y = 0 sets the centering
-        aff = newton([-scal[3] for scal in cache])
-        if aff is None:
-            x, y = best_xy
-            return "numerical_failure", x, y, it
-        _, dss_a, dys_a = aff
-        alpha_aff = 1.0
-        for s, yi, ds, dy in zip(svals, y, dss_a, dys_a):
-            alpha_aff = min(alpha_aff,
-                            _step_to_boundary(s, ds), _step_to_boundary(yi, dy))
-        gap_aff = sum(float((s + alpha_aff * ds) @ (yi + alpha_aff * dy))
-                      for s, yi, ds, dy in zip(svals, y, dss_a, dys_a))
-        sigma = min(_SIGMA_MAX, max(_SIGMA_MIN, (max(gap_aff, 0.0) / gap) ** 3))
+        lam = scal[2]
+        _, ds_a, dy_a, dtau_a, dkappa_a = aff = direction(-lam, -tau * kappa, 1.0)
+        if not (np.all(np.isfinite(aff[0])) and math.isfinite(dtau_a)):
+            outcome = "stalled"
+            break
+        sigma = (1.0 - min(1.0, max_step(*aff[1:]))) ** 3
+        sigma = min(_SIGMA_MAX, max(_SIGMA_MIN, sigma))
 
         # corrector: recenters to sigma*mu and absorbs the probe's
         # second-order term dstilde o dytilde
-        dvecs = []
-        for (eta, jw, w2inv, lam), ds, dy in zip(cache, dss_a, dys_a):
-            dst = (2.0 * float(jw @ ds) * jw - _jflip(ds)) / eta
-            dyt = -lam - dst
-            resid = np.empty_like(lam)
-            resid[0] = sigma * mu - float(lam @ lam) - float(dst @ dyt)
-            resid[1:] = (-2.0 * lam[0] * lam[1:]
-                         - dst[0] * dyt[1:] - dyt[0] * dst[1:])
-            dvecs.append(_arrow_solve(lam, resid))
-        step = newton(dvecs)
-        if step is None:
-            x, y = best_xy
-            return "numerical_failure", x, y, it
-        dx, dss, dys = step
-        alpha_max = math.inf
-        for s, yi, ds, dy in zip(svals, y, dss, dys):
-            alpha_max = min(alpha_max,
-                            _step_to_boundary(s, ds), _step_to_boundary(yi, dy))
-        alpha = min(1.0, _BOUNDARY_FRACTION * alpha_max)
+        dst = cones.winv(scal, ds_a)
+        resid = sigma * mu * heads - cones.jprod(lam, lam) - cones.jprod(dst, -lam - dst)
+        dx, ds, dy, dtau, dkappa = step = direction(
+            cones.arrow_solve(lam, resid), sigma * mu - tau * kappa - dtau_a * dkappa_a,
+            1.0 - sigma)
+        alpha = min(1.0, _BOUNDARY_FRACTION * max_step(*step[1:]))
         # the boundary step comes from a cancellation-prone quadratic, so
-        # near the boundary it can overshoot; backtrack until the candidate
-        # is strictly interior on both sides and the gap does not explode
-        # (a corrupted direction can pass the interiority test while
-        # multiplying the gap a thousandfold)
+        # near the boundary it can overshoot: backtrack to a strictly
+        # interior point
         while alpha > 1e-13:
-            x_new = x + alpha * dx
-            y_new = [yi + alpha * dy for yi, dy in zip(y, dys)]
-            if (_interior(Hs, ks, x_new)
-                    and all(_jquad(yn) > 0.0 and yn[0] > 0.0 for yn in y_new)):
-                gap_new = sum(float((H @ x_new + k) @ yn)
-                              for H, k, yn in zip(Hs, ks, y_new))
-                if gap_new <= 2.0 * gap + nblocks * _MU_MIN:
-                    break
+            s_new, y_new = s + alpha * ds, y + alpha * dy
+            tau_new, kappa_new = tau + alpha * dtau, kappa + alpha * dkappa
+            if (tau_new > 0.0 and kappa_new > 0.0
+                    and cones.interior(s_new) and cones.interior(y_new)):
+                break
             alpha *= 0.5
-        if alpha <= 1e-13:
-            x, y = best_xy
-            return "stalled", x, y, it
-        x = x_new
-        y = y_new
-    x, y = best_xy
-    return "max_iterations", x, y, max_iter
+        if not alpha > 1e-13:
+            outcome = "stalled"
+            break
+        x = x + alpha * dx
+        s, y, tau, kappa = s_new, y_new, tau_new, kappa_new
+    else:
+        it = max_iter
+    return outcome, x / tau, y / tau, it
 
 
-def _phase1(Hs, ks, x_init, tol, max_iter):
-    """Find a strictly interior point by driving a shared slack tau down.
+def solve_socp(prog: ConeProgram, tol: float = 1e-8, max_iter: int = 100) -> SocpResult:
+    """Solve a ConeProgram from the self-dual embedding's central point.
 
-    Returns (point or None, iterations, failure status or None).
-    """
-    n = x_init.size
-    aug = []
-    for H in Hs:
-        col = np.zeros((H.shape[0], 1))
-        col[0, 0] = 1.0  # tau widens every head component
-        aug.append(np.hstack([H, col]))
-    # cap tau below so the phase-1 objective is bounded
-    aug.append(np.array([[0.0] * n + [1.0]]))
-    ks_aug = list(ks) + [np.array([1.0])]
-    c_aug = np.zeros(n + 1)
-    c_aug[-1] = 1.0
-    viol0 = -_margins(Hs, ks, x_init)
-    x0 = np.concatenate([x_init, [viol0 + 1.0 + 0.1 * abs(viol0)]])
-
-    state = {"best": math.inf, "count": 0}
-
-    def monitor(x):
-        margin = _margins(Hs, ks, x[:-1])
-        if margin > 0.0:
-            return "interior"
-        viol = -margin
-        if viol < state["best"] - 1e-12:
-            state["best"] = viol
-            state["count"] = 0
-        else:
-            state["count"] += 1
-            if state["count"] >= _STALL_LIMIT and state["best"] > tol:
-                return "infeasible"
-        return None
-
-    outcome, x, _, it = _path_follow(aug, ks_aug, c_aug, x0, tol, max_iter, monitor)
-    if outcome == "interior":
-        return x[:-1], it, None
-    if outcome == "infeasible" or outcome == "converged":
-        # tau was optimized without ever clearing the cones
-        return None, it, STATUS_INFEASIBLE
-    if outcome == "max_iterations":
-        return None, it, STATUS_MAX_ITERATIONS
-    return None, it, STATUS_NUMERICAL_FAILURE
-
-
-def solve_socp(prog: ConeProgram, tol: float = 1e-8, max_iter: int = 100,
-               z0=None) -> SocpResult:
-    """Solve a ConeProgram; z0 optionally hints a strictly interior start.
-
-    The optimum is polished well past tol when the path permits (mu is
-    driven to 1e-12), so downstream consumers can compare optimizers at
-    tolerances tighter than tol.
+    The optimum is polished well past tol when the path permits, so
+    downstream consumers can compare optimizers at tolerances tighter
+    than tol.  STATUS_INFEASIBLE (z NaN) comes with a Farkas certificate
+    that no z with ||z||_1 < 1/tol meets the cones, so a program
+    feasible only at that size reads infeasible too.  An unbounded
+    program, which no status names, ends STATUS_NUMERICAL_FAILURE with z
+    NaN.
     """
     if tol <= 0.0 or max_iter < 1:
         raise ValueError("tol must be positive and max_iter at least 1")
-    n = prog.n_vars
-    hint = None
-    if z0 is not None:
-        z0 = np.atleast_1d(np.asarray(z0, dtype=float))
-        if z0.shape == (n,) and np.all(np.isfinite(z0)):
-            hint = z0
-    # equilibrate variables by the hint so coordinates of very different
-    # magnitude (an epigraph value next to O(1) inputs) do not wreck the
-    # Newton system's conditioning; solved in x = units * xt coordinates
-    units = np.ones(n)
-    if hint is not None:
-        units = np.maximum(1.0, np.abs(hint))
-    c_units = prog.c * units
-    cscale = float(np.max(np.abs(c_units))) if np.any(c_units) else 1.0
-    c = c_units / cscale  # optimizer is invariant to positive cost scaling
-    Hs = [np.vstack([blk.d[None, :], blk.A]) * units[None, :]
-          for blk in prog.blocks]
-    ks = [np.concatenate([[blk.e], blk.b]) for blk in prog.blocks]
-    total_it = 0
-
-    start = np.zeros(n)
-    if hint is not None:
-        start = hint / units
-    x0 = start
-    if _margins(Hs, ks, x0) <= 0.0:
-        x0, it1, failure = _phase1(Hs, ks, start, tol, max_iter)
-        total_it += it1
-        if failure is not None:
-            bad = np.full(n, math.nan)
-            return SocpResult(z=bad, objective=math.nan, status=failure,
-                              iterations=total_it, primal_residual=math.inf)
-
-    outcome, x, y, it2 = _path_follow(Hs, ks, c, x0, tol, max_iter)
-    total_it += it2
-    z = units * x
-    polished = _active_polish(prog, z, tol, [float(yi[0]) * cscale for yi in y])
+    outcome, z, y, iterations = _hsd(prog, tol, max_iter)
+    if outcome in ("infeasible", "unbounded"):
+        status = STATUS_INFEASIBLE if outcome == "infeasible" else STATUS_NUMERICAL_FAILURE
+        return SocpResult(z=np.full(prog.n_vars, math.nan), objective=math.nan,
+                          status=status, iterations=iterations, primal_residual=math.inf)
+    H, k, cones = _stacked(prog)
+    polished = _active_polish(prog, z, tol, y[cones.starts])
     if polished is not None:
-        z, duals = polished
-        x = z / units
-        y = [d / cscale for d in duals]
+        z, y = polished[0], np.concatenate(polished[1])
     viol, obj = residuals(prog, z)
-    svals = [H @ x + k for H, k in zip(Hs, ks)]
-    gap = sum(float(s @ yi) for s, yi in zip(svals, y)) * cscale
-    rd_norm = float(np.max(np.abs(c - sum(H.T @ yi for H, yi in zip(Hs, y))))) * cscale
-    if outcome == "converged":
-        status = STATUS_OPTIMAL
-    elif (viol <= tol and rd_norm <= 10.0 * tol * cscale
-          and gap <= 10.0 * tol * cscale * len(Hs)):
-        # stalled short of the interior-point targets but already certifiably
+    gap = float((H @ z + k) @ y)
+    rd_norm = float(np.max(np.abs(prog.c - H.T @ y)))
+    c_scale = max(1.0, float(np.max(np.abs(prog.c))))
+    if outcome == "optimal" or (viol <= tol and rd_norm <= 10.0 * tol * c_scale
+                                and gap <= 10.0 * tol * c_scale * len(prog.blocks)):
+        # or stopped short of the path's targets but already certifiably
         # accurate: duality gap and stationarity within an order of tol
         status = STATUS_OPTIMAL
     elif outcome == "max_iterations":
         status = STATUS_MAX_ITERATIONS
     else:
         status = STATUS_NUMERICAL_FAILURE
-    return SocpResult(z=z, objective=obj, status=status, iterations=total_it,
+    return SocpResult(z=z, objective=obj, status=status, iterations=iterations,
                       primal_residual=viol, dual_residual=rd_norm, gap=gap)

@@ -14,13 +14,15 @@ from typing import Callable, List
 import numpy as np
 
 from .filters import (
-    ball_oracle,
+    InfeasibleError,
+    ball_program,
     channel_margin,
     filter_auto,
     filter_qp_channels,
     filter_scalar,
     filter_socp,
     robust_margin,
+    split_program,
 )
 from .sectors import (
     NormalizedUncertainty,
@@ -29,7 +31,7 @@ from .sectors import (
     worst_case_oracle,
 )
 from .sim import simulate, step_rk4
-from .socp import STATUS_OPTIMAL
+from .socp import STATUS_INFEASIBLE, STATUS_OPTIMAL, dump_program, solve_socp
 from .vehicle import X0, lateral_dynamics
 
 __all__ = [
@@ -37,7 +39,7 @@ __all__ = [
     "check_worst_case_oracle",
     "check_multiplier_identity",
     "check_route_agreement",
-    "check_split_uniqueness",
+    "check_split_agreement",
     "check_margin_soundness",
     "check_wide_scale_stress",
     "check_theta_zero_reduction",
@@ -134,6 +136,33 @@ def _boxed_instances(rng: np.random.Generator, n: int):
         yield p, a, theta, u0, ub
 
 
+def _boxed_infeasible_instances(rng: np.random.Generator, n: int):
+    # the geometry of _boxed_instances with p at 1.05 .. 3 times the margin
+    # of its point along a: infeasible unless a point off the a direction
+    # does better in the box, which none does on m = 1
+    for _, a, theta, u0, ub in _boxed_instances(rng, n):
+        along = (1.0 - theta) * float(ub[0] * (a @ a) / np.abs(a).max())
+        yield -rng.uniform(1.05, 3.0) * along, a, theta, u0, ub
+
+
+def _routes(p, a, theta, u0, ub):
+    # every route that takes the instance: the ball route, and on m = 1 the
+    # interval and split routes too
+    routes = [lambda: filter_socp(p, a, u0, theta, u_max=ub)]
+    if a.size == 1:
+        routes += [lambda: filter_scalar(p, a, u0, theta, u_max=ub),
+                   lambda: filter_qp_channels(p, a, u0, np.array([theta]), u_max=ub)]
+    return routes
+
+
+def _dump_first(wrong: list) -> str:
+    # the first solver run that missed, as replayable `dump_program` text
+    if not wrong:
+        return ""
+    status, prog = wrong[0]
+    return f"; first miss ended {status}:\n{dump_program(prog)}"
+
+
 def check_route_agreement(n_instances: int = 1000) -> CheckResult:
     """Every route against the interior-point solver on the paper's program.
 
@@ -141,57 +170,90 @@ def check_route_agreement(n_instances: int = 1000) -> CheckResult:
     solver; n_instances // 10 more instances with m = 2..3 check the ball
     route, and n_instances // 10 boxed ones with m = 1..3 check all three
     routes (m = 1) or the ball route under the box.  The solver's own
-    epigraph must be tight, 2q = ||u||^2.
+    epigraph must be tight, 2q = ||u||^2.  n_instances // 10 boxed
+    instances past the reach of the box (mostly infeasible) check the
+    verdict: each route must raise InfeasibleError exactly where the
+    solver certifies infeasibility, and return where it is optimal.
     """
     rng = np.random.default_rng(13)
-    cases = [(p, a, theta, u0, None, (filter_scalar(p, a, u0, theta),
-                                      filter_socp(p, a, u0, theta),
-                                      filter_qp_channels(p, a, u0, np.array([theta]))))
-             for p, a, theta, u0 in _scalar_instances(rng, n_instances)]
+    cases = [(p, a, theta, u0, None) for p, a, theta, u0 in _scalar_instances(rng, n_instances)]
     for _ in range(n_instances // 10):
         m = int(rng.integers(2, 4))
         p = rng.uniform(-5.0, 5.0)
         a = _random_direction(rng, m) * rng.uniform(0.1, 10.0)
         theta = rng.uniform(0.0, 0.9)
         u0 = rng.uniform(-10.0, 10.0, size=m)
-        cases.append((p, a, theta, u0, None, (filter_socp(p, a, u0, theta),)))
-    for p, a, theta, u0, ub in _boxed_instances(rng, n_instances // 10):
-        results = (filter_socp(p, a, u0, theta, u_max=ub),)
-        if a.size == 1:
-            results += (filter_scalar(p, a, u0, theta, u_max=ub),
-                        filter_qp_channels(p, a, u0, np.array([theta]), u_max=ub))
-        cases.append((p, a, theta, u0, ub, results))
+        cases.append((p, a, theta, u0, None))
+    cases += _boxed_instances(rng, n_instances // 10)
+    cases += _boxed_infeasible_instances(rng, n_instances // 10)
     worst_u = 0.0
     worst_epi = 0.0
-    failed = 0
-    for p, a, theta, u0, ub, results in cases:
-        oracle = ball_oracle(p, a, u0, theta, ub)
-        if oracle.status != STATUS_OPTIMAL:
-            failed += 1
+    raised = certified = 0
+    wrong = []  # (status, program) of each solver verdict unlike the routes'
+    for p, a, theta, u0, ub in cases:
+        routes = _routes(p, a, theta, u0, ub)
+        answers = []
+        for route in routes:
+            try:
+                answers.append(route().u)
+            except InfeasibleError:
+                pass
+        prog = ball_program(p, a, u0, theta, ub)
+        oracle = solve_socp(prog)
+        if not answers:
+            raised += 1
+            certified += oracle.status == STATUS_INFEASIBLE
+        if oracle.status != (STATUS_OPTIMAL if answers else STATUS_INFEASIBLE) or (
+                answers and len(answers) < len(routes)):
+            wrong.append((oracle.status, prog))
             continue
-        u_ref, q_ref = oracle.z[:-1], float(oracle.z[-1])
-        worst_u = max(worst_u, *(float(np.abs(r.u - u_ref).max()) for r in results))
-        worst_epi = max(worst_epi, abs(2.0 * q_ref - float(u_ref @ u_ref)))
-    ok = failed == 0 and worst_u <= 1e-6 and worst_epi <= 1e-6
+        if answers:
+            u_ref, q_ref = oracle.z[:-1], float(oracle.z[-1])
+            worst_u = max(worst_u, *(float(np.abs(u - u_ref).max()) for u in answers))
+            worst_epi = max(worst_epi, abs(2.0 * q_ref - float(u_ref @ u_ref)))
+    ok = not wrong and worst_u <= 1e-6 and worst_epi <= 1e-6
     detail = (f"max route disagreement {worst_u:.3g} (bound 1e-06); "
               f"max |2q - ||u||^2| {worst_epi:.3g} (bound 1e-06); "
-              f"{failed} of {len(cases)} solver runs not optimal")
-    return CheckResult("route_agreement", ok, detail)
+              f"{len(wrong)} of {len(cases)} solver verdicts unlike the routes' "
+              f"({certified} of {raised} infeasible instances certified)")
+    return CheckResult("route_agreement", ok, detail + _dump_first(wrong))
 
 
-def check_split_uniqueness(n_instances: int = 1000) -> CheckResult:
-    """Channel split must keep u_pos and u_neg complementary."""
+def check_split_agreement(n_instances: int = 1000) -> CheckResult:
+    """The split route against the interior-point solver on its own program.
+
+    m = 2..5 with one level per channel (see `split_program`); every other
+    instance has a per-channel box and is feasible by construction: the box
+    corner along sign(a) has margin p + sum_i (1 - theta_i) |a_i| ub_i, of
+    which p takes a share.  The route's u must match the solver's
+    u = u+ - u- within 1e-6.
+    """
     rng = np.random.default_rng(14)
     worst = 0.0
-    for _ in range(n_instances):
-        m = int(rng.integers(1, 4))
-        p = rng.uniform(-5.0, 5.0)
+    wrong = []
+    for i in range(n_instances):
+        m = int(rng.integers(2, 6))
         a = rng.uniform(0.1, 10.0, size=m) * rng.choice([-1.0, 1.0], size=m)
         theta = rng.uniform(0.0, 0.9, size=m)
-        u0 = rng.uniform(-10.0, 10.0, size=m)
-        res = filter_qp_channels(p, a, u0, theta)
-        worst = max(worst, float(np.minimum(res.u_pos, res.u_neg).max()))
-    return _result("split_uniqueness", worst, 1e-8)
+        if i % 2:
+            ub = 10.0 ** rng.uniform(-0.5, 0.5, size=m)
+            p = -rng.uniform(0.1, 0.99) * float((1.0 - theta) @ (np.abs(a) * ub))
+            u0 = ub * rng.uniform(-3.0, 3.0, size=m)
+        else:
+            ub = None
+            p = rng.uniform(-5.0, 5.0)
+            u0 = rng.uniform(-10.0, 10.0, size=m)
+        u = filter_qp_channels(p, a, u0, theta, u_max=ub).u
+        prog = split_program(p, a, u0, theta, ub)
+        oracle = solve_socp(prog)
+        if oracle.status != STATUS_OPTIMAL:
+            wrong.append((oracle.status, prog))
+            continue
+        worst = max(worst, float(np.abs(u - (oracle.z[:m] - oracle.z[m:2 * m])).max()))
+    detail = (f"max route disagreement {worst:.3g} (bound 1e-06); "
+              f"{len(wrong)} of {n_instances} solver runs not optimal")
+    return CheckResult("split_agreement", not wrong and worst <= 1e-6,
+                       detail + _dump_first(wrong))
 
 
 def check_margin_soundness(n_instances: int = 1000, w_samples: int = 2000) -> CheckResult:
@@ -386,7 +448,7 @@ def check_determinism(horizon: float = 0.5) -> CheckResult:
 _QUICK: List[Callable[[], CheckResult]] = [
     lambda: check_worst_case_oracle(n_instances=30),
     lambda: check_route_agreement(n_instances=150),
-    lambda: check_split_uniqueness(n_instances=150),
+    lambda: check_split_agreement(n_instances=150),
     check_rk4_order,
 ]
 
@@ -394,7 +456,7 @@ _FULL: List[Callable[[], CheckResult]] = [
     check_worst_case_oracle,
     check_multiplier_identity,
     check_route_agreement,
-    check_split_uniqueness,
+    check_split_agreement,
     check_margin_soundness,
     check_wide_scale_stress,
     check_theta_zero_reduction,

@@ -16,8 +16,10 @@ from rcbf_shield.filters import (
     filter_scalar,
     filter_socp,
     robust_margin,
+    split_program,
 )
 from rcbf_shield.sectors import worst_case_input
+from rcbf_shield.socp import solve_socp
 from rcbf_shield.verify import check_wide_scale_stress
 
 
@@ -137,20 +139,28 @@ def test_epigraph_identity_on_solved_instances():
             continue
         u0 = rng.uniform(-4.0, 4.0, size=m)
         theta = float(rng.uniform(0.0, 0.8))
-        res = filter_socp(p, a, u0, theta)
-        if res.q_star is not None and res.altered:
-            assert 2.0 * res.q_star == pytest.approx(float(res.u @ res.u), abs=1e-6)
+        # the oracle's epigraph is tight at its optimum, 2q = ||u||^2, and
+        # its u is the ball route's
+        oracle = ball_oracle(p, a, u0, theta)
+        assert oracle.status == "optimal"
+        u, q = oracle.z[:-1], float(oracle.z[-1])
+        assert 2.0 * q == pytest.approx(float(u @ u), abs=1e-6)
+        assert np.abs(filter_socp(p, a, u0, theta).u - u).max() <= 1e-6
 
 
 def test_split_complementarity():
-    res = filter_qp_channels(
-        4.0762984749473965,
-        np.array([9.64485474318362, 1.1367904403207176, 4.642268968237971]),
-        np.array([-6.396332715908006, 6.648924621031636, 2.1654095544854552]),
-        np.array([0.5436452256153305, 0.21777456908258824, 0.6033186995540122]))
-    assert res.u_pos is not None and res.u_neg is not None
-    assert float(np.minimum(res.u_pos, res.u_neg).max()) <= 1e-8
-    assert res.u == pytest.approx(res.u_pos - res.u_neg, abs=1e-12)
+    # the oracle's split variables are complementary at its optimum, and
+    # u+ - u- is the split route's u
+    p = 4.0762984749473965
+    a = np.array([9.64485474318362, 1.1367904403207176, 4.642268968237971])
+    u0 = np.array([-6.396332715908006, 6.648924621031636, 2.1654095544854552])
+    theta = np.array([0.5436452256153305, 0.21777456908258824, 0.6033186995540122])
+    res = filter_qp_channels(p, a, u0, theta)
+    oracle = solve_socp(split_program(p, a, u0, theta))
+    assert oracle.status == "optimal"
+    u_pos, u_neg = oracle.z[:3], oracle.z[3:6]
+    assert float(np.minimum(u_pos, u_neg).max()) <= 1e-8
+    assert res.u == pytest.approx(u_pos - u_neg, abs=1e-8)
     assert res.margin >= -1e-8
 
 
@@ -281,10 +291,9 @@ def test_boxed_ball_route_frozen_and_against_oracle(case):
     res = filter_auto(p, a, u0, theta, u_max=u_max, mode="socp")
     assert res.margin >= 0.0 and np.all(np.abs(res.u) <= u_max)
     assert res.u == pytest.approx(expected, rel=1e-12, abs=1e-15)
-    if case != "every channel clamped":  # a lone safe point has no interior
-        oracle = ball_oracle(p, a, u0, theta, u_max)
-        assert oracle.status == "optimal"
-        assert np.abs(res.u - oracle.z[:-1]).max() <= 1e-6
+    oracle = ball_oracle(p, a, u0, theta, u_max)
+    assert oracle.status == "optimal"
+    assert np.abs(res.u - oracle.z[:-1]).max() <= 1e-6
 
 
 def test_boxed_ball_route_across_scales():
@@ -318,8 +327,7 @@ def test_boxed_ball_route_finds_the_best_margin_in_the_box():
 
 
 def test_boxed_ball_route_decides_infeasibility_as_the_oracle():
-    # the oracle's phase 1 ends "infeasible" on most infeasible instances
-    # and "numerical_failure" on the rest; it never ends "optimal" there
+    # the route raises exactly where the oracle certifies infeasibility
     rng = np.random.default_rng(24)
     raised = 0
     for i in range(40):
@@ -336,7 +344,7 @@ def test_boxed_ball_route_decides_infeasibility_as_the_oracle():
             res = filter_socp(p, a, u0, theta, u_max=u_max)
         except InfeasibleError:
             raised += 1
-            assert oracle.status != "optimal", i
+            assert oracle.status == "infeasible", i
             continue
         assert oracle.status == "optimal", i
         assert res.margin >= 0.0 and np.all(np.abs(res.u) <= u_max)
@@ -344,14 +352,18 @@ def test_boxed_ball_route_decides_infeasibility_as_the_oracle():
     assert 5 <= raised <= 35
 
 
-def test_auto_dispatch():
+def test_auto_dispatch(monkeypatch):
+    calls = []
+    for name in ("filter_scalar", "filter_socp", "filter_qp_channels"):
+        monkeypatch.setattr(f"rcbf_shield.filters.{name}",
+                            lambda *args, name=name, **kwargs: calls.append(name))
     p, u0 = -1.0, np.array([0.0])
     a = np.array([1.0])
-    assert filter_auto(p, a, u0, 0.5).q_star is None  # scalar closed form
-    r_vec = filter_auto(p, np.array([1.0, 0.5]), np.zeros(2), 0.5)
-    assert r_vec.q_star is not None  # cone route
-    r_chan = filter_auto(p, a, u0, np.array([0.5]))
-    assert r_chan.u_pos is not None  # split route
+    filter_auto(p, a, u0, 0.5)  # one channel: the interval
+    filter_auto(p, np.array([1.0, 0.5]), np.zeros(2), 0.5)  # several: the ball
+    filter_auto(p, a, u0, np.array([0.5]))  # per-channel levels: the split
+    filter_auto(p, a, u0, 0.5, mode="socp")
+    assert calls == ["filter_scalar", "filter_socp", "filter_qp_channels", "filter_socp"]
     with pytest.raises(ValueError):
         filter_auto(p, a, u0, 0.5, mode="nope")
 

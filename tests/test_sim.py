@@ -356,11 +356,12 @@ def _cycling_controller(values):
     return lambda x: next(it)
 
 
-@pytest.mark.parametrize("gain, mode", [(1.0, "auto"), (1.0, "off"), (1e-170, "off")])
+@pytest.mark.parametrize("gain, mode", [(1.0, "auto"), (1.0, "off"), (1e-170, "off"),
+                                        (1e-170, "auto")])
 def test_worst_case_zero_shortcuts_match_the_reference(gain, mode):
     # u = +-0.0 and u whose square underflows get w = +0.0; so does a = 1e-170,
-    # whose square underflows although a is not zero (unfiltered: the
-    # scalar route raises DegenerateGradientError on such an a)
+    # whose square underflows although a is not zero (filtered too: the
+    # scalar route's w* is +0.0 there)
     dyn = Dynamics(f=lambda x: np.array([1.0]), g=lambda x: np.array([[gain]]), n=1, m=1)
     bar = Barrier(h=lambda x: float(x[0]) + 10.0, degree=1, grad=lambda x: np.array([1.0]))
     values = (0.0, -0.0, 1e-170, -1e-170, 0.3, -0.3, 2.0)

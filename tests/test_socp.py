@@ -14,6 +14,7 @@ from rcbf_shield.socp import (
     residuals,
     solve_socp,
 )
+from rcbf_shield.socp import _hsd, _stacked
 
 
 def _ball(n, radius=1.0):
@@ -52,6 +53,32 @@ def test_infeasible_pair_detected():
     prog = ConeProgram(c=np.array([1.0]), blocks=blocks, n_vars=1)
     res = solve_socp(prog)
     assert res.status == STATUS_INFEASIBLE
+
+
+def _disk(center, radius=1.0):
+    return SocBlock(np.eye(2), -np.asarray(center, dtype=float), np.zeros(2), radius)
+
+
+def test_infeasible_pair_certificate():
+    # two unit disks 4 apart: the verdict comes with a Farkas certificate,
+    # y in the cones with H' y = 0 and k @ y < 0, so no z meets both
+    prog = ConeProgram(c=np.array([0.3, -0.2]),
+                       blocks=(_disk([2.0, 0.0]), _disk([-2.0, 0.0])), n_vars=2)
+    res = solve_socp(prog)
+    assert res.status == STATUS_INFEASIBLE
+    assert np.isnan(res.z).all() and res.primal_residual == math.inf
+    outcome, _, y, _ = _hsd(prog, 1e-8, 100)
+    assert outcome == "infeasible"
+    for yi in (y[:3], y[3:]):
+        assert yi[0] > np.linalg.norm(yi[1:])
+    H, k, _ = _stacked(prog)
+    assert k @ y < 0.0
+    assert np.abs(H.T @ y).max() <= -1e-8 * (k @ y)
+    # the same disks 1.9 apart overlap: optimal, inside both
+    near = ConeProgram(c=prog.c, blocks=(_disk([0.95, 0.0]), _disk([-0.95, 0.0])),
+                       n_vars=2)
+    res = solve_socp(near)
+    assert res.status == STATUS_OPTIMAL and res.primal_residual <= 1e-8
 
 
 def test_scalar_robust_instance_frozen():
@@ -104,10 +131,12 @@ def test_determinism_bitwise():
 
 
 def test_warm_hint_agrees_with_cold_start():
+    # the solver takes no start hint; this program's optimum is 3 * (1, -0.4)
+    # / ||(1, -0.4)||, on the disk's rim
     prog = ConeProgram(c=np.array([-1.0, 0.4]), blocks=(_ball(2, 3.0),), n_vars=2)
-    cold = solve_socp(prog)
-    warm = solve_socp(prog, z0=np.array([0.5, -0.5]))
-    assert cold.z == pytest.approx(warm.z, abs=1e-6)
+    res = solve_socp(prog)
+    assert res.status == STATUS_OPTIMAL
+    assert res.z == pytest.approx(3.0 * np.array([1.0, -0.4]) / math.sqrt(1.16), abs=1e-7)
 
 
 def test_extreme_scaling_instance():
@@ -131,9 +160,10 @@ def test_extreme_scaling_instance():
 
 
 def test_boundary_start_hint_is_repaired():
-    # a hint violating a cone must not break the solve
+    # every solve starts at the embedding's central point, which no cone
+    # rejects; this program's optimum is (-1, 0)
     prog = ConeProgram(c=np.array([1.0, 0.0]), blocks=(_ball(2),), n_vars=2)
-    res = solve_socp(prog, z0=np.array([5.0, 5.0]))
+    res = solve_socp(prog)
     assert res.status == STATUS_OPTIMAL
     assert res.z == pytest.approx([-1.0, 0.0], abs=1e-7)
 
