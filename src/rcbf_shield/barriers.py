@@ -169,7 +169,10 @@ def barrier_terms(barrier: Barrier, dyn: Dynamics,
     needs f, g, grad h or h at the same x evaluates none of them again.
     """
     x = np.asarray(x, dtype=float)
-    # ndarray.dot runs the BLAS kernels of @ (same bits), dispatched faster
+    # ndarray.dot runs the BLAS kernels of @ at half the dispatch cost, with
+    # the same bits on the vehicle's 5-vectors and (5, 1) input matrix, but
+    # not on every input: on one-element vectors holding a signed zero,
+    # [33.8].dot([-0.0]) is -0.0 where @ gives +0.0 (numpy 2.4.6)
     fx, gx, hx = dyn.f(x), dyn.g(x), barrier.h(x)
     grad = gradient(barrier, x)
     if barrier.degree == 1:

@@ -21,13 +21,14 @@ monotone search in the constraint's multiplier over a closed-form prox,
 two-dimensional on the ball route without a box (`_ball_root`), a search
 over the sorted kinks of a piecewise-linear margin on the split route
 (`_split_root`), and Newton on the margin's closed-form slope under a box
-(`_boxed_ball_root`).  Every route runs in one pass on plain floats from
-its checks to its result; the cone routes evaluate one margin on arrays,
-the certificate of the returned u, which is its reported margin.  No
-filter runs the interior-point solver.  It solves the routes' cone
-programs only for the self-checks, as their independent oracle:
-`ball_program` (via `ball_oracle`) for the ball route and `split_program`
-for the split route.
+(`_boxed_ball_root`).  Every route runs on plain floats, and the margin
+has one definition, `robust_margin` or `channel_margin` on floats (sums
+from +0.0, norms by hypot): a cone route stops at the first u whose margin
+is >= 0 and reports it as the certificate.  Numpy's `a @ u` and norms may
+read it below 0, by at most 2 (m + 2) 2^-53 T, T = |p| + sum_i |a_i u_i| +
+the penalty term (the two evaluations' summed error bounds).  No filter
+runs the interior-point solver: it is the self-checks' oracle, on
+`ball_program` (via `ball_oracle`) and `split_program`.
 
 Optionally a symmetric box |u_i| <= u_max_i restricts the input set;
 infeasibility against the box is raised as an error, never relaxed.
@@ -38,6 +39,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from operator import mul, sub
 from typing import Callable, Optional
 
@@ -88,7 +90,8 @@ class FilterResult:
     Attributes:
         u: Safe input, always 1-D.
         w_star: Worst admissible uncertainty at u (zero vector when theta=0).
-        margin: Robust constraint value at u; >= -1e-8 on success.
+        margin: Robust constraint value at u (`robust_margin` or
+            `channel_margin`); >= -1e-8 on success, >= 0 on the cone routes.
         altered: Whether u differs from the baseline beyond tolerance.
     """
 
@@ -99,33 +102,61 @@ class FilterResult:
 
 
 def robust_margin(p: float, a, u, theta: float) -> float:
-    """Worst-case constraint value p + a @ u - theta * ||u|| * ||a||."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    return float(p + a @ u - theta * np.linalg.norm(u) * np.linalg.norm(a))
+    """Worst-case constraint value p + a @ u - theta * ||u|| * ||a|| on
+    floats (see the module docstring); a ValueError unless a and u are
+    vectors of one length."""
+    al, ul = _vectors(a, u)
+    return float(_ball_margin(p, al, theta, _norm(al), ul))
 
 
 def channel_margin(p: float, a, u, theta_vec) -> float:
-    """Per-channel worst case p + a @ u - sum_i theta_i |a_i| |u_i|."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    theta_vec = np.atleast_1d(np.asarray(theta_vec, dtype=float))
-    return float(p + a @ u - (theta_vec * np.abs(a)) @ np.abs(u))
+    """Per-channel worst case p + a @ u - sum_i theta_i |a_i| |u_i| on
+    floats (see the module docstring); a ValueError unless a and u are
+    vectors of one length and theta_vec broadcasts to it."""
+    al, ul = _vectors(a, u)
+    load = [t * abs(x) for t, x in zip(_per_channel(theta_vec, len(al)).tolist(), al)]
+    return float(_split_margin(p, al, load, ul))
 
 
-def _inputs(p, a, u0) -> tuple[float, np.ndarray, list, list]:
-    """p, a as an array, and a and u0 as lists of floats; a ValueError
-    unless a and u0 are 1-D of one shape and all data is finite."""
-    p = float(p)
+def _dot(x, y) -> float:
+    # left to right from int 0, which adds as +0.0 (compensated on Python >= 3.12)
+    return sum(map(mul, x, y))
+
+
+def _norm(x: list) -> float:
+    """||x|| by hypot, which does not underflow; sqrt(x * x) on one channel."""
+    return math.sqrt(x[0] * x[0]) if len(x) == 1 else math.hypot(*x)
+
+
+def _ball_margin(p: float, al: list, theta: float, norm_a: float, u: list) -> float:
+    """`robust_margin` on lists, norm_a = _norm(al)."""
+    return p + _dot(al, u) - theta * _norm(u) * norm_a
+
+
+def _split_margin(p: float, al: list, load: list, u: list) -> float:
+    """`channel_margin` on lists, with load_i = theta_i * |a_i|."""
+    return p + _dot(al, u) - _dot(load, map(abs, u))
+
+
+def _vectors(a, u, name: str = "u") -> tuple[list, list]:
+    """a and u as lists of floats; a ValueError, which calls u `name`,
+    unless they are 1-D of one shape (a scalar is one channel)."""
     # np.atleast_1d(np.asarray(x, dtype=float)) in one call
     a = np.array(a, dtype=float, ndmin=1, copy=None)
-    u0 = np.array(u0, dtype=float, ndmin=1, copy=None)
-    if a.ndim != 1 or u0.shape != a.shape:
-        raise ValueError(f"shape mismatch: a {a.shape}, u0 {u0.shape}")
-    al, ul = a.tolist(), u0.tolist()
+    u = np.array(u, dtype=float, ndmin=1, copy=None)
+    if a.ndim != 1 or u.shape != a.shape:
+        raise ValueError(f"shape mismatch: a {a.shape}, {name} {u.shape}")
+    return a.tolist(), u.tolist()
+
+
+def _inputs(p, a, u0) -> tuple[float, list, list]:
+    """p, and a and u0 as lists of floats; a ValueError unless a and u0
+    are 1-D of one shape and all data is finite."""
+    p = float(p)
+    al, ul = _vectors(a, u0, "u0")
     if not (math.isfinite(p) and all(map(math.isfinite, al + ul))):
         raise ValueError("constraint data must be finite")
-    return p, a, al, ul
+    return p, al, ul
 
 
 def _scalar_theta(theta) -> float:
@@ -150,29 +181,19 @@ def _bounds(u_max, m: int) -> Optional[list]:
     return ub
 
 
-def _dot(x, y) -> float:
-    return sum(map(mul, x, y))
-
-
 def _clip(u: list, ub: list) -> list:
     return [max(-b, min(b, x)) for x, b in zip(u, ub)]
 
 
-def _try_baseline(u: list, al: list, p: float, margin: Callable[[list], float],
-                  certificate: Callable[[np.ndarray], float]
-                  ) -> tuple[Optional[np.ndarray], float]:
-    """(u as an array, its certificate) when the box projection u of u0
-    meets the robust constraint (the answer: the box holds the feasible
-    set), else (None, g0) with g0 < 0 its margin, g(0) of the dual root.
-    The test runs in floats and a pass is confirmed by the certificate.
-    With a = 0 no input moves the constraint, so it either holds here or
-    cannot be met."""
+def _try_baseline(u: list, al: list, p: float, margin: Callable[[list], float]
+                  ) -> tuple[Optional[list], float]:
+    """(u, its margin) when the box projection u of u0 meets the robust
+    constraint (the answer: the box holds the feasible set), else (None, g0)
+    with g0 < 0 its margin, g(0) of the dual root.  With a = 0 no input
+    moves the constraint, so it either holds here or cannot be met."""
     g0 = margin(u)
     if g0 >= 0.0:
-        ua = np.array(u)
-        g0 = certificate(ua)
-        if g0 >= 0.0:
-            return ua, g0
+        return u, g0
     if not any(al):
         raise InfeasibleError(
             f"input direction vanished (a = 0) with negative drift term p = {p}",
@@ -180,29 +201,25 @@ def _try_baseline(u: list, al: list, p: float, margin: Callable[[list], float],
     return None, g0
 
 
-def _box_limit(best: list, g0: float, p: float, margin: Callable[[list], float],
-               certificate: Callable[[np.ndarray], float]) -> tuple[Optional[np.ndarray], float]:
+def _box_limit(best: list, g0: float, p: float, margin: Callable[[list], float]
+               ) -> tuple[Optional[list], float]:
     """Whether the dual root runs, from the box's best-margin input `best`:
-    (None, g0) when best clears the constraint in floats.  Otherwise the
-    margin is at most 0 all over the box, so best is the one candidate:
-    (best as an array, its certificate) when that is >= 0, and else no
-    input in the box is safe."""
-    if margin(best) > 0.0:
+    (None, g0) when best clears the constraint.  Otherwise the margin is at
+    most 0 all over the box, so best is the one candidate: (best, 0.0) when
+    its margin is 0, and else no input in the box is safe."""
+    value = margin(best)
+    if value > 0.0:
         return None, g0
-    ua = np.array(best)
-    cert = certificate(ua)
-    if cert < 0.0:
+    if value < 0.0:
         raise InfeasibleError(
             f"no input within the box satisfies the robust constraint (p={p})")
-    return ua, cert
+    return best, value
 
 
 def _dual_root(lam: float, shrink: Callable[[float], list], margin: Callable[[list], float],
-               certificate: Callable[[np.ndarray], float], kinks: list = ()
-               ) -> tuple[np.ndarray, list, float]:
+               kinks: list = ()) -> tuple[list, float]:
     """The answer of a cone route whose box-projected baseline fails, from
-    a root lam of its dual: u as an array and as a list, and its
-    certificate.
+    a root lam of its dual: u and its margin >= 0.
 
     u(lam) = shrink(lam), the prox of the route's penalty plus the box at
     u0 + lam * a, minimizes ||u - u0||^2 / 2 - lam * margin(u) over the
@@ -210,23 +227,19 @@ def _dual_root(lam: float, shrink: Callable[[float], list], margin: Callable[[li
     concave dual, is continuous and nondecreasing.  The routes search its
     root on plain floats from g(0), the failing baseline's margin
     (`_ball_root`, `_split_root`, `_boxed_ball_root`).  From there lam
-    steps up by a doubling ulp step until the float margin of u is >= 0,
-    and then until the certificate, `robust_margin` or `channel_margin` of
-    the array u, is: the one array evaluation of a call, so the reported
-    margin is >= 0 exactly.  A step that leaves u as it was (the box holds
-    every channel) is certified as it stands.  When a certificate fails
-    where no channel moves until the next of the route's sorted `kinks`,
-    lam jumps to that kink, where u moves again, rather than doubling its
-    way past it.
+    steps up by a doubling ulp step until the margin of u is >= 0: the
+    certificate of u and its reported margin.  When a step leaves u as it
+    was and no channel moves until the next of the route's sorted `kinks`
+    (g is flat there and the sign of its rounding arbitrary), lam jumps to
+    that kink, where u moves again, rather than doubling its way past it.
     """
     step, last = math.ulp(lam), None
     while True:
         u = shrink(lam)
-        if margin(u) >= 0.0 or u == last:
-            ua = np.array(u)
-            cert = certificate(ua)
-            if cert >= 0.0:
-                return ua, u, cert
+        value = margin(u)
+        if value >= 0.0:
+            return u, value
+        if u == last:
             i = bisect_right(kinks, lam)
             if i < len(kinks) and shrink(0.5 * (lam + kinks[i])) == u:
                 # u is piecewise linear in lam: the same u at the midpoint
@@ -585,14 +598,14 @@ def filter_scalar(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS) -> FilterR
     Past the checks it runs on plain floats.  With |x| = sqrt(x * x), the
     margin (p + (a*u + 0.0)) - (theta*|u|)*|a| and w* = ((-theta*|u|)*a)/|a|
     repeat the IEEE operations of `robust_margin` and `worst_case_input` on
-    one channel (a @ u sums from +0.0), so every value equals theirs bit
+    one channel (the sum runs from +0.0), so every value equals theirs bit
     for bit.  Where a * a is 0, underflow included, w* is +0.0 (there
     `worst_case_input` raises).
     """
-    p, a, al, ul = _inputs(p, a, u0)
+    p, al, ul = _inputs(p, a, u0)
     theta = _scalar_theta(theta)
-    if a.size != 1:
-        raise ValueError(f"interval route needs one channel, got {a.size}")
+    if len(al) != 1:
+        raise ValueError(f"interval route needs one channel, got {len(al)}")
     (av,), (uv,) = al, ul
     bound = math.inf if u_max is None else _bounds(u_max, 1)[0]  # inf: no box
     norm_a = math.sqrt(av * av)
@@ -626,45 +639,35 @@ def filter_scalar(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS) -> FilterR
     return FilterResult(np.array([u]), np.array([w_star]), margin(u), abs(u - uv) > tol)
 
 
-def _ball_result(ua: np.ndarray, u: list, cert: float, ul: list, al: list, theta: float,
-                 norm_a: float, tol: float) -> FilterResult:
-    coef = -theta * math.hypot(*u)  # w* = -theta ||u|| a / ||a||, as worst_case_input
-    w_star = [coef * x / norm_a for x in al] if norm_a > 0.0 else [0.0] * len(al)
-    return FilterResult(ua, np.array(w_star), cert, math.hypot(*map(sub, u, ul)) > tol)
-
-
 def filter_socp(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS) -> FilterResult:
     """Ball-route filter: minimize ||u - u0|| s.t. theta*||a||*||u|| <= p + a @ u
     (and the box), exactly by the dual root."""
-    p, a, al, ul = _inputs(p, a, u0)
+    p, al, ul = _inputs(p, a, u0)
     theta = _scalar_theta(theta)
     ub = _bounds(u_max, len(al))
     norm_a = math.hypot(*al)  # a @ a underflows below ~1e-162, hypot does not
-
-    def margin(u):
-        return p + _dot(al, u) - theta * math.hypot(*u) * norm_a
-
-    def certificate(u):
-        return robust_margin(p, a, u, theta)
-
+    margin = partial(_ball_margin, p, al, theta, _norm(al))
     u = ul if ub is None else _clip(ul, ub)
-    # the margin of ua, its certificate; while ua is None the failing g(0)
-    ua, value = _try_baseline(u, al, p, margin, certificate)
-    if ua is None and ub is not None:
+    # the answer and its margin; while ans is None, value is the failing g(0)
+    ans, value = _try_baseline(u, al, p, margin)
+    if ans is None and ub is not None:
         kappa = theta * norm_a
         if kappa > 0.0:  # clip(t * a), t from _box_reach on a / ||a||, where no square underflows
             t = _box_reach([x / norm_a for x in al], ub, theta) / norm_a
             u = [max(-b, min(b, t * x)) for x, b in zip(al, ub)]
         else:  # the corner along a; the channels with a_i = 0 do not count
             u = [b if y > 0.0 else -b if y < 0.0 else x for x, y, b in zip(u, al, ub)]
-        ua, value = _box_limit(u, value, p, margin, certificate)
-    if ua is None:
+        ans, value = _box_limit(u, value, p, margin)
+    if ans is None:
         if ub is None:
             lam, shrink = _ball_root(p, al, ul, theta, norm_a, value)
         else:
             lam, shrink = _boxed_ball_root(p, al, ul, theta, norm_a, ub, value)
-        ua, u, value = _dual_root(lam, shrink, margin, certificate)
-    return _ball_result(ua, u, value, ul, al, theta, norm_a, tol)
+        ans, value = _dual_root(lam, shrink, margin)
+    coef = -theta * math.hypot(*ans)  # w* = -theta ||u|| a / ||a||, as worst_case_input
+    w_star = [coef * x / norm_a for x in al] if norm_a > 0.0 else [0.0] * len(al)
+    return FilterResult(np.array(ans), np.array(w_star), value,
+                        math.hypot(*map(sub, ans, ul)) > tol)
 
 
 def filter_qp_channels(p, a, u0, theta, u_max=None,
@@ -673,29 +676,22 @@ def filter_qp_channels(p, a, u0, theta, u_max=None,
     p + a @ u - sum_i theta_i |a_i| |u_i| >= 0 (and the box), exactly by
     the dual root.  The level may differ per channel.
     """
-    p, a, al, ul = _inputs(p, a, u0)
+    p, al, ul = _inputs(p, a, u0)
     m = len(al)
-    theta_vec = _per_channel(theta, m)
-    tl = theta_vec.tolist()
+    tl = _per_channel(theta, m).tolist()
     if not all(map(in_level_range, tl)):
         raise ValueError("per-channel levels must lie in [0, 1)")
     ub = _bounds(u_max, m)
     load = [t * abs(x) for t, x in zip(tl, al)]  # theta_i |a_i|, as channel_margin
-
-    def margin(u):
-        return p + _dot(al, u) - _dot(load, map(abs, u))
-
-    def certificate(u):
-        return channel_margin(p, a, u, theta_vec)
-
+    margin = partial(_split_margin, p, al, load)
     u = ul if ub is None else _clip(ul, ub)
-    # the margin of ua, its certificate; while ua is None the failing g(0)
-    ua, value = _try_baseline(u, al, p, margin, certificate)
-    if ua is None and ub is not None:
+    # the answer and its margin; while ans is None, value is the failing g(0)
+    ans, value = _try_baseline(u, al, p, margin)
+    if ans is None and ub is not None:
         # the best margin in the box: each channel at its bound along a_i
         u = [b if y > 0.0 else -b if y < 0.0 else x for x, y, b in zip(u, al, ub)]
-        ua, value = _box_limit(u, value, p, margin, certificate)
-    if ua is None:
+        ans, value = _box_limit(u, value, p, margin)
+    if ans is None:
         bl = ub or [math.inf] * m
         rows = list(zip(ul, al, load, bl))
 
@@ -708,10 +704,11 @@ def filter_qp_channels(p, a, u0, theta, u_max=None,
             return u
 
         lam, kinks = _split_root(al, ul, load, bl, value, shrink, margin)
-        ua, u, value = _dual_root(lam, shrink, margin, certificate, kinks)
+        ans, value = _dual_root(lam, shrink, margin, kinks)
     w_star = [-t * abs(x) * (1.0 if y > 0.0 else -1.0 if y < 0.0 else 0.0)
-              for t, x, y in zip(tl, u, al)]
-    return FilterResult(ua, np.array(w_star), value, math.hypot(*map(sub, u, ul)) > tol)
+              for t, x, y in zip(tl, ans, al)]
+    return FilterResult(np.array(ans), np.array(w_star), value,
+                        math.hypot(*map(sub, ans, ul)) > tol)
 
 
 def filter_auto(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS,
@@ -724,10 +721,11 @@ def filter_auto(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS,
     if mode not in FILTER_MODES:
         raise ValueError(f"unknown filter mode {mode!r}")
     if mode == "auto":
-        if np.ndim(theta) > 0:
-            mode = "qp"
+        if isinstance(theta, float) or np.ndim(theta) == 0:  # isinstance: no numpy dispatch
+            size = a.size if isinstance(a, np.ndarray) else np.size(a)
+            mode = "scalar" if size == 1 else "socp"
         else:
-            mode = "scalar" if np.atleast_1d(np.asarray(a)).size == 1 else "socp"
+            mode = "qp"
     if mode == "scalar":
         return filter_scalar(p, a, u0, theta, u_max=u_max, tol=tol)
     if mode == "socp":

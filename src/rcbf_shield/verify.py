@@ -163,6 +163,22 @@ def _dump_first(wrong: list) -> str:
     return f"; first miss ended {status}:\n{dump_program(prog)}"
 
 
+def _route_agreement_instances(n_instances: int) -> list:
+    """(p, a, theta, u0, ub) of `check_route_agreement`."""
+    rng = np.random.default_rng(13)
+    cases = [(p, a, theta, u0, None) for p, a, theta, u0 in _scalar_instances(rng, n_instances)]
+    for _ in range(n_instances // 10):
+        m = int(rng.integers(2, 4))
+        p = rng.uniform(-5.0, 5.0)
+        a = _random_direction(rng, m) * rng.uniform(0.1, 10.0)
+        theta = rng.uniform(0.0, 0.9)
+        u0 = rng.uniform(-10.0, 10.0, size=m)
+        cases.append((p, a, theta, u0, None))
+    cases += _boxed_instances(rng, n_instances // 10)
+    cases += _boxed_infeasible_instances(rng, n_instances // 10)
+    return cases
+
+
 def check_route_agreement(n_instances: int = 1000) -> CheckResult:
     """Every route against the interior-point solver on the paper's program.
 
@@ -175,17 +191,7 @@ def check_route_agreement(n_instances: int = 1000) -> CheckResult:
     verdict: each route must raise InfeasibleError exactly where the
     solver certifies infeasibility, and return where it is optimal.
     """
-    rng = np.random.default_rng(13)
-    cases = [(p, a, theta, u0, None) for p, a, theta, u0 in _scalar_instances(rng, n_instances)]
-    for _ in range(n_instances // 10):
-        m = int(rng.integers(2, 4))
-        p = rng.uniform(-5.0, 5.0)
-        a = _random_direction(rng, m) * rng.uniform(0.1, 10.0)
-        theta = rng.uniform(0.0, 0.9)
-        u0 = rng.uniform(-10.0, 10.0, size=m)
-        cases.append((p, a, theta, u0, None))
-    cases += _boxed_instances(rng, n_instances // 10)
-    cases += _boxed_infeasible_instances(rng, n_instances // 10)
+    cases = _route_agreement_instances(n_instances)
     worst_u = 0.0
     worst_epi = 0.0
     raised = certified = 0
@@ -219,18 +225,9 @@ def check_route_agreement(n_instances: int = 1000) -> CheckResult:
     return CheckResult("route_agreement", ok, detail + _dump_first(wrong))
 
 
-def check_split_agreement(n_instances: int = 1000) -> CheckResult:
-    """The split route against the interior-point solver on its own program.
-
-    m = 2..5 with one level per channel (see `split_program`); every other
-    instance has a per-channel box and is feasible by construction: the box
-    corner along sign(a) has margin p + sum_i (1 - theta_i) |a_i| ub_i, of
-    which p takes a share.  The route's u must match the solver's
-    u = u+ - u- within 1e-6.
-    """
+def _split_agreement_instances(n_instances: int):
+    """(p, a, theta, u0, ub) of `check_split_agreement`."""
     rng = np.random.default_rng(14)
-    worst = 0.0
-    wrong = []
     for i in range(n_instances):
         m = int(rng.integers(2, 6))
         a = rng.uniform(0.1, 10.0, size=m) * rng.choice([-1.0, 1.0], size=m)
@@ -243,6 +240,22 @@ def check_split_agreement(n_instances: int = 1000) -> CheckResult:
             ub = None
             p = rng.uniform(-5.0, 5.0)
             u0 = rng.uniform(-10.0, 10.0, size=m)
+        yield p, a, theta, u0, ub
+
+
+def check_split_agreement(n_instances: int = 1000) -> CheckResult:
+    """The split route against the interior-point solver on its own program.
+
+    m = 2..5 with one level per channel (see `split_program`); every other
+    instance has a per-channel box and is feasible by construction: the box
+    corner along sign(a) has margin p + sum_i (1 - theta_i) |a_i| ub_i, of
+    which p takes a share.  The route's u must match the solver's
+    u = u+ - u- within 1e-6.
+    """
+    worst = 0.0
+    wrong = []
+    for p, a, theta, u0, ub in _split_agreement_instances(n_instances):
+        m = a.size
         u = filter_qp_channels(p, a, u0, theta, u_max=ub).u
         prog = split_program(p, a, u0, theta, ub)
         oracle = solve_socp(prog)

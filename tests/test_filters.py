@@ -20,7 +20,13 @@ from rcbf_shield.filters import (
 )
 from rcbf_shield.sectors import worst_case_input
 from rcbf_shield.socp import solve_socp
-from rcbf_shield.verify import check_wide_scale_stress
+from rcbf_shield.verify import (
+    _route_agreement_instances,
+    _split_agreement_instances,
+    _wide_scale_boxed_instances,
+    _wide_scale_instances,
+    check_wide_scale_stress,
+)
 
 
 def test_halfspace_projection_frozen():
@@ -895,3 +901,77 @@ def test_split_route_lands_on_a_kink_beside_a_flat_stretch():
                  + ([kinks[j + 1]] if j + 1 < len(kinks) else [])]
         flat += any(np.array_equal(_split_prox(a, u0, theta, u_max, lam), want) for lam in sides)
     assert flat >= 20, flat
+
+
+def _numpy_margin(p, a, u, theta):
+    """The margin by numpy's BLAS arithmetic, as the array-era certificate
+    took it, and T = |p| + sum_i |a_i u_i| + the penalty term."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    with np.errstate(all="ignore"):  # the overflow case below reads inf - inf
+        if np.ndim(theta):
+            penalty = (np.atleast_1d(np.asarray(theta, dtype=float)) * np.abs(a)) @ np.abs(u)
+        else:
+            penalty = theta * np.linalg.norm(u) * np.linalg.norm(a)
+        return float(p + a @ u - penalty), abs(p) + float(np.abs(a * u).sum()) + abs(float(penalty))
+
+
+def test_numpy_margin_of_every_answer_stays_within_the_rounding_bound():
+    # a cone route's certificate is its float margin; numpy evaluates the
+    # same formula in other roundings and may read it below 0, but by no
+    # more than the two evaluations' standard error bounds together,
+    # 2 (m + 2) 2^-53 T
+    answers = []
+    for p, a, theta, u0, ub in _route_agreement_instances(1000):
+        routes = [(filter_socp, theta)] + ([(filter_qp_channels, np.array([theta]))]
+                                           if a.size == 1 else [])
+        for route, th in routes:
+            try:
+                answers.append((p, a, th, route(p, a, u0, th, u_max=ub)))
+            except InfeasibleError:
+                pass
+    for p, a, theta, u0, ub in _split_agreement_instances(1000):
+        answers.append((p, a, theta, filter_qp_channels(p, a, u0, theta, u_max=ub)))
+    for p, a, u0, theta, ub in [*_wide_scale_instances(200), *_wide_scale_boxed_instances(100)]:
+        route = filter_qp_channels if np.ndim(theta) else filter_socp
+        answers.append((p, a, theta, route(p, a, u0, theta, u_max=ub)))
+    worst, several = 0.0, 0
+    for p, a, theta, res in answers:
+        cert = channel_margin if np.ndim(theta) else robust_margin
+        assert res.margin >= 0.0 and res.margin == cert(p, a, res.u, theta)
+        value, scale = _numpy_margin(p, a, res.u, theta)
+        worst = min(worst, value / (2.0 * (a.size + 2) * 2.0 ** -53 * scale))
+        several += a.size > 1
+    assert worst >= -1.0, worst
+    assert len(answers) > 3000 and several > 1400, (len(answers), several)
+
+
+def test_one_channel_margins_repeat_the_numpy_bits():
+    # on one channel the float margins take numpy's IEEE operations, so
+    # filter_scalar's bit-exact margin and every vehicle digest hold
+    cases = [(p, a, u0, theta) for p, a, u0, theta, _ in _scalar_corpus()]
+    # a * a or u * u underflowing or overflowing, where hypot would differ
+    cases += [(0.0, 1e-170, 3.0, 0.5), (0.0, -2.0, 1e-170, 0.3), (1.0, 1e160, 1e-160, 0.5),
+              (1.0, 1e200, 1e200, 0.5), (0.0, 33.8, -0.0, 0.0), (-0.0, -0.0, 5.0, 0.2)]
+    for p, a, u, theta in cases:
+        want = _numpy_margin(p, [a], [u], theta)[0]
+        assert _bits(robust_margin(p, [a], [u], theta)) == _bits(want), (p, a, u, theta)
+        want = _numpy_margin(p, [a], [u], [theta])[0]
+        assert _bits(channel_margin(p, [a], [u], [theta])) == _bits(want), (p, a, u, theta)
+        assert _bits(channel_margin(p, a, u, theta)) == _bits(want), (p, a, u, theta)
+
+
+def test_margins_reject_vectors_of_unequal_length():
+    # a bare zip would truncate the longer vector silently
+    two, three = [1.0, -2.0], [1.0, 2.0, 3.0]
+    for a, u in ((two, three), (three, two), ([[1.0, -2.0]], two), (two, [[1.0], [2.0]])):
+        with pytest.raises(ValueError):
+            robust_margin(0.5, a, u, 0.3)
+        with pytest.raises(ValueError):
+            channel_margin(0.5, a, u, 0.3)
+    for theta in ([0.1, 0.2], [0.1, 0.2, 0.3, 0.4], [[0.1, 0.2, 0.3]]):
+        with pytest.raises(ValueError):
+            channel_margin(0.5, three, three, theta)
+    # one level stands for every channel, as numpy broadcasts it
+    assert channel_margin(0.5, three, two + [0.0], [0.3]) == channel_margin(
+        0.5, three, two + [0.0], [0.3, 0.3, 0.3])
