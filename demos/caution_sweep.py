@@ -8,9 +8,9 @@ run stays safe.
 
 from dataclasses import replace
 
+from rcbf_shield.config import scenario_presets
 from rcbf_shield.sectors import NormalizedUncertainty
 from rcbf_shield.sim import simulate, trajectory_metrics
-from rcbf_shield.vehicle import scenario_presets
 
 
 def main():

@@ -12,9 +12,9 @@ import os
 
 import numpy as np
 
+from rcbf_shield.config import scenario_presets
 from rcbf_shield.output import trajectory_csv_text, trajectory_svg_text
 from rcbf_shield.sim import simulate, trajectory_metrics
-from rcbf_shield.vehicle import scenario_presets
 
 OUT = os.environ.get("RCBF_SHIELD_OUT", "out")
 

@@ -37,8 +37,8 @@ from .sim import (
     step_rk4,
     trajectory_metrics,
 )
-from .vehicle import lateral_dynamics, obstacle_barrier, lqr_controller, scenario_presets
-from .config import ConfigError, load_scenario, parse_config
+from .vehicle import lateral_dynamics, obstacle_barrier, lqr_controller
+from .config import ConfigError, load_scenario, parse_config, scenario_presets
 from .verify import run_checks
 
 __version__ = "0.1.0"

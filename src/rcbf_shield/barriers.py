@@ -180,21 +180,17 @@ def barrier_terms(barrier: Barrier, dyn: Dynamics,
         p = float(grad.dot(fx)) + float(eta(hx))
         a = uncertainty.scale * grad.dot(gx)
     else:
-        # degree 2: differentiate psi = grad_h @ f by central differences as
-        # _numeric_gradient takes them (its analytic gradient would need the
-        # Hessian of h, which callers are not asked to supply)
+        # degree 2: differentiate psi = grad_h @ f by central differences
+        # (its analytic gradient would need the Hessian of h, which callers
+        # are not asked to supply)
         f, grad_h = dyn.f, barrier.grad
         if grad_h is None:
             grad_h = partial(_numeric_gradient, barrier.h)
-        plus, minus = x + 0.0, x.copy()
-        eps = 1e-6 * (1.0 + math.sqrt(minus.dot(minus)))
-        grad_psi = np.empty(x.size)
-        for i, xi in enumerate(x.tolist()):
-            plus[i], minus[i] = xi + eps, xi - eps
-            psi_plus = float(np.asarray(grad_h(plus), dtype=float).dot(f(plus)))
-            psi_minus = float(np.asarray(grad_h(minus), dtype=float).dot(f(minus)))
-            grad_psi[i] = (psi_plus - psi_minus) / (2.0 * eps)
-            plus[i], minus[i] = xi + 0.0, xi
+
+        def psi(y):
+            return float(np.asarray(grad_h(y), dtype=float).dot(f(y)))
+
+        grad_psi = _numeric_gradient(psi, x)
         k0, k1 = barrier.gains
         p = float(grad_psi.dot(fx)) + k1 * float(grad.dot(fx)) + k0 * float(hx)
         a = uncertainty.scale * grad_psi.dot(gx)

@@ -4,9 +4,13 @@
     rcbf-shield sweep --scenario fig4_sweep --out runs
     rcbf-shield verify --depth quick
 
-Exit codes: 0 on success, 1 for configuration or usage errors, 2 when a
-run hit filter infeasibility (outputs are still written).  The output
-directory defaults to $RCBF_SHIELD_OUT, then ./out.
+The run flags --design-theta, --plant-theta, --seed, --dt and --horizon
+override the scenario keys they name (see config.load_scenario).
+
+Exit codes: 0 on success, 1 for configuration or usage errors and for a
+filter that could not certify its answer (FilterError), 2 when a run hit
+filter infeasibility (outputs are still written).  The output directory
+defaults to $RCBF_SHIELD_OUT, then ./out.
 """
 
 from __future__ import annotations
@@ -18,14 +22,15 @@ from dataclasses import replace
 from typing import Optional
 
 from .config import ConfigError, load_scenario
+from .filters import FilterError
 from .output import (
     metrics_text,
     sweep_summary_text,
     trajectory_csv_text,
     trajectory_svg_text,
 )
-from .sectors import NormalizedUncertainty, random_in_sector
-from .sim import Adversary, Scenario, SimulationError, simulate, trajectory_metrics
+from .sectors import NormalizedUncertainty
+from .sim import Scenario, SimulationError, simulate, trajectory_metrics
 from .verify import format_report, run_checks
 
 __all__ = ["main", "cmd_simulate", "cmd_sweep", "cmd_verify"]
@@ -33,6 +38,12 @@ __all__ = ["main", "cmd_simulate", "cmd_sweep", "cmd_verify"]
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
+
+
+#: Flags that override a scenario key, by argparse destination.
+_OVERRIDES = {"design_theta": "uncertainty.design_theta",
+              "plant_theta": "simulation.plant_theta", "seed": "simulation.seed",
+              "dt": "simulation.dt", "horizon": "simulation.horizon"}
 
 
 class _UsageError(Exception):
@@ -60,15 +71,17 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default=None,
                        help="output directory (default $RCBF_SHIELD_OUT or ./out)")
         p.add_argument("--design-theta", type=float, default=None,
-                       help="override the filter's uncertainty level")
+                       help="override uncertainty.design_theta, the filter's level")
         p.add_argument("--plant-theta", type=float, default=None,
-                       help="override the plant's uncertainty level")
-        p.add_argument("--dt", type=float, default=None, help="step size [s]")
-        p.add_argument("--horizon", type=float, default=None, help="run length [s]")
+                       help="override simulation.plant_theta, the plant's level")
+        p.add_argument("--dt", type=float, default=None,
+                       help="override simulation.dt, the step size [s]")
+        p.add_argument("--horizon", type=float, default=None,
+                       help="override simulation.horizon, the run length [s]")
         p.add_argument("--svg", action="store_true",
                        help="also write a top-down (s, e) plot")
         p.add_argument("--seed", type=int, default=None,
-                       help="reseed a random scripted adversary")
+                       help="override simulation.seed of a random adversary")
         p.set_defaults(default_scenario=default_scenario)
 
     sim = sub.add_parser("simulate", help="run one scenario and write csv/metrics")
@@ -93,24 +106,14 @@ def _out_dir(args) -> str:
 
 def _load(args) -> Scenario:
     ref = args.config if args.config else (args.scenario or args.default_scenario)
-    sc = load_scenario(ref)
-    if args.design_theta is not None:
-        sc = replace(sc, uncertainty=NormalizedUncertainty(
-            theta=args.design_theta, scale=sc.uncertainty.scale))
-    if args.plant_theta is not None:
-        adv = sc.adversary
-        sc = replace(sc, adversary=Adversary(
-            kind=adv.kind, theta=args.plant_theta, scripted=adv.scripted))
-    if args.seed is not None:
-        adv = sc.adversary
-        if adv.scripted is None or adv.scripted.kind != "random_in_sector":
-            raise ConfigError("--seed only applies to a random scripted adversary")
-        sc = replace(sc, adversary=Adversary(
-            kind="scripted", theta=adv.theta, scripted=random_in_sector(args.seed)))
-    if args.dt is not None or args.horizon is not None:
-        sc = replace(sc,
-                     dt=args.dt if args.dt is not None else sc.dt,
-                     horizon=args.horizon if args.horizon is not None else sc.horizon)
+    overrides = {key: getattr(args, dest) for dest, key in _OVERRIDES.items()
+                 if getattr(args, dest) is not None}
+    # resolved at call time, so a wrapper installed on this module's
+    # load_scenario sees the call
+    sc = load_scenario(ref, overrides)
+    scripted = sc.adversary.scripted
+    if args.seed is not None and (scripted is None or scripted.kind != "random_in_sector"):
+        raise ConfigError("--seed only applies to a random scripted adversary")
     return sc
 
 
@@ -191,7 +194,7 @@ def main(argv: Optional[list] = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConfigError, SimulationError, ValueError) as exc:
+    except (ConfigError, FilterError, SimulationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

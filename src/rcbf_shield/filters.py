@@ -185,15 +185,23 @@ def _clip(u: list, ub: list) -> list:
     return [max(-b, min(b, x)) for x, b in zip(u, ub)]
 
 
+def _overflow(p: float) -> FilterError:
+    """The error for a margin that came out NaN, which certifies nothing."""
+    return FilterError(f"robust margin is NaN: the constraint data overflow (p={p})")
+
+
 def _try_baseline(u: list, al: list, p: float, margin: Callable[[list], float]
                   ) -> tuple[Optional[list], float]:
     """(u, its margin) when the box projection u of u0 meets the robust
     constraint (the answer: the box holds the feasible set), else (None, g0)
     with g0 < 0 its margin, g(0) of the dual root.  With a = 0 no input
-    moves the constraint, so it either holds here or cannot be met."""
+    moves the constraint, so it either holds here or cannot be met.  A NaN
+    margin raises FilterError."""
     g0 = margin(u)
     if g0 >= 0.0:
         return u, g0
+    if math.isnan(g0):
+        raise _overflow(p)
     if not any(al):
         raise InfeasibleError(
             f"input direction vanished (a = 0) with negative drift term p = {p}",
@@ -206,10 +214,13 @@ def _box_limit(best: list, g0: float, p: float, margin: Callable[[list], float]
     """Whether the dual root runs, from the box's best-margin input `best`:
     (None, g0) when best clears the constraint.  Otherwise the margin is at
     most 0 all over the box, so best is the one candidate: (best, 0.0) when
-    its margin is 0, and else no input in the box is safe."""
+    its margin is 0, and else no input in the box is safe.  A NaN margin
+    raises FilterError."""
     value = margin(best)
     if value > 0.0:
         return None, g0
+    if math.isnan(value):
+        raise _overflow(p)
     if value < 0.0:
         raise InfeasibleError(
             f"no input within the box satisfies the robust constraint (p={p})")
@@ -587,7 +598,7 @@ def split_program(p: float, a: np.ndarray, u0: np.ndarray, theta_vec: np.ndarray
     return ConeProgram(c=np.concatenate([-u0, u0, [1.0]]), blocks=tuple(blocks), n_vars=n)
 
 
-def filter_scalar(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS) -> FilterResult:
+def filter_scalar(p, a, u0, theta, u_max=None) -> FilterResult:
     """Exact single-channel filter via the feasible interval.
 
     For a > 0 the robust constraint is u >= u_l with
@@ -636,10 +647,13 @@ def filter_scalar(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS) -> FilterR
     # +0.0 wherever a * a is 0, underflow included, as sim._adversary_input
     w_star = 0.0 if norm_a == 0.0 else ((-theta * math.sqrt(u * u)) * av) / norm_a
     # positional: keywords cost a frozen dataclass another 0.5 us per call
-    return FilterResult(np.array([u]), np.array([w_star]), margin(u), abs(u - uv) > tol)
+    value = margin(u)
+    if math.isnan(value):  # |a| past ~1e154 or an overflowing a * u
+        raise _overflow(p)
+    return FilterResult(np.array([u]), np.array([w_star]), value, abs(u - uv) > TOL_FEAS)
 
 
-def filter_socp(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS) -> FilterResult:
+def filter_socp(p, a, u0, theta, u_max=None) -> FilterResult:
     """Ball-route filter: minimize ||u - u0|| s.t. theta*||a||*||u|| <= p + a @ u
     (and the box), exactly by the dual root."""
     p, al, ul = _inputs(p, a, u0)
@@ -667,11 +681,10 @@ def filter_socp(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS) -> FilterRes
     coef = -theta * math.hypot(*ans)  # w* = -theta ||u|| a / ||a||, as worst_case_input
     w_star = [coef * x / norm_a for x in al] if norm_a > 0.0 else [0.0] * len(al)
     return FilterResult(np.array(ans), np.array(w_star), value,
-                        math.hypot(*map(sub, ans, ul)) > tol)
+                        math.hypot(*map(sub, ans, ul)) > TOL_FEAS)
 
 
-def filter_qp_channels(p, a, u0, theta, u_max=None,
-                       tol: float = TOL_FEAS) -> FilterResult:
+def filter_qp_channels(p, a, u0, theta, u_max=None) -> FilterResult:
     """Per-channel filter: minimize ||u - u0|| subject to
     p + a @ u - sum_i theta_i |a_i| |u_i| >= 0 (and the box), exactly by
     the dual root.  The level may differ per channel.
@@ -708,11 +721,10 @@ def filter_qp_channels(p, a, u0, theta, u_max=None,
     w_star = [-t * abs(x) * (1.0 if y > 0.0 else -1.0 if y < 0.0 else 0.0)
               for t, x, y in zip(tl, ans, al)]
     return FilterResult(np.array(ans), np.array(w_star), value,
-                        math.hypot(*map(sub, ans, ul)) > tol)
+                        math.hypot(*map(sub, ans, ul)) > TOL_FEAS)
 
 
-def filter_auto(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS,
-                mode: str = "auto") -> FilterResult:
+def filter_auto(p, a, u0, theta, u_max=None, mode: str = "auto") -> FilterResult:
     """Dispatch to the fitting route.
 
     Per-channel theta (any array) goes to the split route; otherwise one
@@ -727,7 +739,7 @@ def filter_auto(p, a, u0, theta, u_max=None, tol: float = TOL_FEAS,
         else:
             mode = "qp"
     if mode == "scalar":
-        return filter_scalar(p, a, u0, theta, u_max=u_max, tol=tol)
+        return filter_scalar(p, a, u0, theta, u_max=u_max)
     if mode == "socp":
-        return filter_socp(p, a, u0, theta, u_max=u_max, tol=tol)
-    return filter_qp_channels(p, a, u0, theta, u_max=u_max, tol=tol)
+        return filter_socp(p, a, u0, theta, u_max=u_max)
+    return filter_qp_channels(p, a, u0, theta, u_max=u_max)

@@ -1,5 +1,6 @@
 """Lateral vehicle study: linear single-track model, LQR baseline, circular
-obstacle, and the preset scenarios exercised by the CLI.
+obstacle, and the initial state of the study.  The study's scenarios are
+config values (`config.PRESETS`).
 
 State ordering is (e, edot, psi, psidot, s): lateral offset to the lane
 center, heading relative to the path, and longitudinal position, which
@@ -15,16 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barriers import Barrier, Dynamics, pole_gains
-from .sectors import NormalizedUncertainty
-from .sim import Adversary, Scenario
 
 __all__ = [
     "VehicleParams",
     "LQR_GAIN",
+    "X0",
     "lateral_dynamics",
     "lqr_controller",
     "obstacle_barrier",
-    "scenario_presets",
 ]
 
 
@@ -122,33 +121,3 @@ def obstacle_barrier(d: float = 3.0, poles: tuple = (-30.0, -30.0)) -> Barrier:
 #: Initial state shared by all presets: offset 2 m, 20 m before the obstacle.
 X0 = np.array([2.0, 0.0, 0.0, 0.0, -20.0])
 
-
-def scenario_presets() -> dict:
-    """Named study scenarios.
-
-    fig3_lqr / fig3_ecbf / fig3_recbf pit the unfiltered baseline, the
-    nominal filter (design theta 0) and the robust filter (design theta
-    0.5) against the worst-case plant at theta 0.5; fig4_sweep varies the
-    design level over the nominal plant.
-    """
-    dyn = lateral_dynamics()
-    barrier = obstacle_barrier()
-    controller = lqr_controller()
-    worst = Adversary(kind="worst_case", theta=0.5)
-    common = dict(dynamics=dyn, barrier=barrier, controller=controller,
-                  x0=X0, dt=1e-3, horizon=2.0)
-    return {
-        "fig3_lqr": Scenario(
-            uncertainty=NormalizedUncertainty(theta=0.5, scale=1.0),
-            adversary=worst, filter_mode="off", name="fig3_lqr", **common),
-        "fig3_ecbf": Scenario(
-            uncertainty=NormalizedUncertainty(theta=0.0, scale=1.0),
-            adversary=worst, filter_mode="auto", name="fig3_ecbf", **common),
-        "fig3_recbf": Scenario(
-            uncertainty=NormalizedUncertainty(theta=0.5, scale=1.0),
-            adversary=worst, filter_mode="auto", name="fig3_recbf", **common),
-        "fig4_sweep": Scenario(
-            uncertainty=NormalizedUncertainty(theta=0.2, scale=1.0),
-            adversary=Adversary(kind="nominal"), filter_mode="auto",
-            name="fig4_sweep", sweep_thetas=(0.2, 0.4, 0.6, 0.8), **common),
-    }

@@ -8,11 +8,12 @@ The quick suite trims instance counts to stay under ten seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List
 
 import numpy as np
 
+from .config import load_scenario
 from .filters import (
     InfeasibleError,
     ball_program,
@@ -445,11 +446,9 @@ def check_rk4_order() -> CheckResult:
 
 def check_determinism(horizon: float = 0.5) -> CheckResult:
     """Same scenario twice must give byte-identical csv text."""
-    from . import vehicle as _vehicle
     from .output import trajectory_csv_text
 
-    base = _vehicle.scenario_presets()["fig3_recbf"]
-    sc = replace(base, horizon=horizon)
+    sc = load_scenario("fig3_recbf", {"simulation.horizon": horizon})
     text_a = trajectory_csv_text(simulate(sc))
     text_b = trajectory_csv_text(simulate(sc))
     same = text_a == text_b

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from rcbf_shield.barriers import barrier_terms
+from rcbf_shield.config import scenario_presets
 from rcbf_shield.filters import filter_auto
 from rcbf_shield.sim import simulate
-from rcbf_shield.vehicle import scenario_presets
 from rcbf_shield.verify import (
     check_determinism,
     check_multiplier_identity,

@@ -3,13 +3,19 @@ codes distinguish config problems from infeasible runs, outputs are stable."""
 
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import rcbf_shield.cli
 from rcbf_shield.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
-from rcbf_shield.config import ConfigError, load_scenario, parse_config
-from rcbf_shield.output import CSV_HEADER
+from rcbf_shield.config import ConfigError, load_scenario, parse_config, scenario_presets
+from rcbf_shield.filters import FilterError
+from rcbf_shield.output import CSV_HEADER, trajectory_csv_text
+from rcbf_shield.sectors import NormalizedUncertainty
+from rcbf_shield.sim import Adversary, Scenario, simulate
+from rcbf_shield.vehicle import X0, lateral_dynamics, lqr_controller, obstacle_barrier
 
 
 def _write(tmp_path, text, name="case.cfg"):
@@ -93,6 +99,53 @@ def test_load_scenario_resolves_presets_and_paths(tmp_path):
     assert load_scenario(path).horizon == 0.5
     with pytest.raises(ConfigError, match="neither a preset"):
         load_scenario("fig9_missing")
+
+
+def _hand_built_presets():
+    """The presets as Scenario objects built directly from the model: the
+    reference that the config values in PRESETS must reproduce."""
+    worst = Adversary(kind="worst_case", theta=0.5)
+    common = dict(dynamics=lateral_dynamics(), barrier=obstacle_barrier(),
+                  controller=lqr_controller(), x0=X0, dt=1e-3, horizon=2.0)
+    return {
+        "fig3_lqr": Scenario(
+            uncertainty=NormalizedUncertainty(theta=0.5, scale=1.0),
+            adversary=worst, filter_mode="off", name="fig3_lqr", **common),
+        "fig3_ecbf": Scenario(
+            uncertainty=NormalizedUncertainty(theta=0.0, scale=1.0),
+            adversary=worst, filter_mode="auto", name="fig3_ecbf", **common),
+        "fig3_recbf": Scenario(
+            uncertainty=NormalizedUncertainty(theta=0.5, scale=1.0),
+            adversary=worst, filter_mode="auto", name="fig3_recbf", **common),
+        "fig4_sweep": Scenario(
+            uncertainty=NormalizedUncertainty(theta=0.2, scale=1.0),
+            adversary=Adversary(kind="nominal"), filter_mode="auto",
+            name="fig4_sweep", sweep_thetas=(0.2, 0.4, 0.6, 0.8), **common),
+    }
+
+
+def _short_runs(sc):
+    """0.2 s runs: the scenario itself, or one per theta of its sweep."""
+    if sc.sweep_thetas is None:
+        return [replace(sc, horizon=0.2)]
+    return [replace(sc, horizon=0.2, sweep_thetas=None,
+                    uncertainty=NormalizedUncertainty(theta=th, scale=sc.uncertainty.scale))
+            for th in sc.sweep_thetas]
+
+
+def test_presets_keep_their_bytes():
+    presets = scenario_presets()
+    reference = _hand_built_presets()
+    assert set(presets) == set(reference)
+    for name, ref in reference.items():
+        sc = presets[name]
+        fields = ("name", "uncertainty", "adversary", "dt", "horizon",
+                  "filter_mode", "u_max", "sweep_thetas")
+        assert [getattr(sc, f) for f in fields] == [getattr(ref, f) for f in fields]
+        assert np.array_equal(sc.x0, ref.x0)
+        for run, ref_run in zip(_short_runs(sc), _short_runs(ref)):
+            assert (trajectory_csv_text(simulate(run))
+                    == trajectory_csv_text(simulate(ref_run))), run.name
 
 
 def test_simulate_writes_outputs_and_exits_zero(tmp_path, capsys):
@@ -186,6 +239,16 @@ def test_config_errors_exit_one(tmp_path, capsys):
                  "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+def test_filter_error_exits_one_without_traceback(tmp_path, capsys, monkeypatch):
+    def overflowing(sc):
+        raise FilterError("robust margin is NaN: the constraint data overflow (p=-1.0)")
+
+    monkeypatch.setattr(rcbf_shield.cli, "simulate", overflowing)
+    assert main(["simulate", "--scenario", "fig3_recbf",
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: robust margin is NaN")
+
+
 def test_usage_errors_exit_one(capsys):
     assert main(["simulate", "--scenario", "a", "--config", "b"]) == EXIT_CONFIG
     assert "usage error" in capsys.readouterr().err
@@ -198,7 +261,7 @@ def test_non_finite_step_or_horizon_exits_one(tmp_path, capsys, flag, value):
     assert main(["simulate", "--scenario", "fig3_recbf", flag, value,
                  "--out", str(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("error: dt and horizon must be finite")
+    assert err.startswith("error: simulation: dt and horizon must be finite")
     assert f"{flag[2:]}={value}" in err
     assert not os.listdir(tmp_path)
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rcbf_shield.filters import (
+    FilterError,
     InfeasibleError,
     ball_oracle,
     channel_margin,
@@ -975,3 +976,19 @@ def test_margins_reject_vectors_of_unequal_length():
     # one level stands for every channel, as numpy broadcasts it
     assert channel_margin(0.5, three, two + [0.0], [0.3]) == channel_margin(
         0.5, three, two + [0.0], [0.3, 0.3, 0.3])
+
+
+def test_a_nan_margin_is_never_certified():
+    # products past the float range give the box's best input a margin of
+    # inf - inf, which neither clears nor fails the constraint: a typed
+    # error, not an answer certified by NaN and not a verdict of infeasible
+    a, u0 = [1e200, 1e200], [-1e200, 0.0]
+    for route, theta in ((filter_socp, 0.5), (filter_qp_channels, [0.5, 0.5])):
+        with pytest.raises(FilterError, match="NaN") as err:
+            route(-1.0, a, u0, theta, u_max=1e200)
+        assert not isinstance(err.value, InfeasibleError)
+    # the same at the baseline, and on the interval route
+    with pytest.raises(FilterError, match="NaN"):
+        filter_socp(-1.0, a, [1e200, -1e200], 0.5)
+    with pytest.raises(FilterError, match="NaN"):
+        filter_scalar(-1.0, 1e200, 1e200, 0.5)

@@ -4,9 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 
+from rcbf_shield.config import scenario_presets
 from rcbf_shield.output import CSV_HEADER, trajectory_csv_text
 from rcbf_shield.sim import SimulationResult, simulate
-from rcbf_shield.vehicle import scenario_presets
 
 
 def _per_value_csv(traj):

@@ -16,6 +16,7 @@ from rcbf_shield.barriers import (
     linear_class_k,
     pole_gains,
 )
+from rcbf_shield.config import scenario_presets
 from rcbf_shield.filters import InfeasibleError, filter_auto, robust_margin
 from rcbf_shield.sectors import (
     NormalizedUncertainty,
@@ -36,7 +37,7 @@ from rcbf_shield.sim import (
     step_rk4,
     trajectory_metrics,
 )
-from rcbf_shield.vehicle import obstacle_barrier, scenario_presets
+from rcbf_shield.vehicle import obstacle_barrier
 
 
 def test_rk4_exponential_decay():

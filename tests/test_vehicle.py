@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rcbf_shield.barriers import barrier_terms, gradient, input_direction_defect
+from rcbf_shield.config import scenario_presets
 from rcbf_shield.sectors import NormalizedUncertainty
 from rcbf_shield.sim import Adversary, Scenario, simulate, step_rk4
 from rcbf_shield.vehicle import (
@@ -14,7 +15,6 @@ from rcbf_shield.vehicle import (
     lateral_dynamics,
     lqr_controller,
     obstacle_barrier,
-    scenario_presets,
 )
 
 
