@@ -646,10 +646,10 @@ def filter_scalar(p, a, u0, theta, u_max=None) -> FilterResult:
             u = max(min(uv, min(u_h, bound)), -bound)
     # +0.0 wherever a * a is 0, underflow included, as sim._adversary_input
     w_star = 0.0 if norm_a == 0.0 else ((-theta * math.sqrt(u * u)) * av) / norm_a
-    # positional: keywords cost a frozen dataclass another 0.5 us per call
     value = margin(u)
     if math.isnan(value):  # |a| past ~1e154 or an overflowing a * u
         raise _overflow(p)
+    # positional: keywords cost a frozen dataclass another 0.5 us per call
     return FilterResult(np.array([u]), np.array([w_star]), value, abs(u - uv) > TOL_FEAS)
 
 

@@ -101,6 +101,17 @@ def test_load_scenario_resolves_presets_and_paths(tmp_path):
         load_scenario("fig9_missing")
 
 
+def test_overrides_meet_the_file_checks():
+    sc = load_scenario("fig3_recbf", {"simulation.horizon": 0.5,
+                                      "uncertainty.design_theta": 0.3})
+    assert sc.horizon == 0.5 and sc.uncertainty.theta == 0.3
+    assert sc.adversary.theta == 0.5  # the preset's own value stays
+    with pytest.raises(ConfigError, match="unknown key simulation.speed"):
+        load_scenario("fig3_recbf", {"simulation.speed": 1.0})
+    with pytest.raises(ConfigError, match="simulation.plant_theta must lie in"):
+        load_scenario("fig3_recbf", {"simulation.plant_theta": 1.5})
+
+
 def _hand_built_presets():
     """The presets as Scenario objects built directly from the model: the
     reference that the config values in PRESETS must reproduce."""
@@ -137,10 +148,10 @@ def test_presets_keep_their_bytes():
     presets = scenario_presets()
     reference = _hand_built_presets()
     assert set(presets) == set(reference)
+    fields = ("name", "uncertainty", "adversary", "dt", "horizon",
+              "filter_mode", "u_max", "sweep_thetas")
     for name, ref in reference.items():
         sc = presets[name]
-        fields = ("name", "uncertainty", "adversary", "dt", "horizon",
-                  "filter_mode", "u_max", "sweep_thetas")
         assert [getattr(sc, f) for f in fields] == [getattr(ref, f) for f in fields]
         assert np.array_equal(sc.x0, ref.x0)
         for run, ref_run in zip(_short_runs(sc), _short_runs(ref)):
