@@ -27,8 +27,9 @@ from +0.0, norms by hypot): a cone route stops at the first u whose margin
 is >= 0 and reports it as the certificate.  Numpy's `a @ u` and norms may
 read it below 0, by at most 2 (m + 2) 2^-53 T, T = |p| + sum_i |a_i u_i| +
 the penalty term (the two evaluations' summed error bounds).  No filter
-runs the interior-point solver: it is the self-checks' oracle, on
-`ball_program` (via `ball_oracle`) and `split_program`.
+runs the interior-point solver: it is the self-checks' oracle, on the
+paper's min-norm programs in SOCP form, minimize t s.t. ||u - u0|| <= t
+(`ball_program`, via `ball_oracle`, and `split_program`).
 
 Optionally a symmetric box |u_i| <= u_max_i restricts the input set;
 infeasibility against the box is raised as an error, never relaxed.
@@ -257,7 +258,7 @@ def _dual_root(lam: float, shrink: Callable[[float], list], margin: Callable[[li
                 # means no channel moves before the next kink
                 lam, step, last = kinks[i], math.ulp(kinks[i]), None
                 continue
-        if lam > 1e300:
+        if not lam <= 1e300:  # NaN included, which no step moves
             raise InfeasibleError("no multiplier meets the robust constraint")
         last, lam, step = u, lam + step, 2.0 * step
 
@@ -312,7 +313,8 @@ def _split_root(al: list, ul: list, load: list, bl: list, g0: float,
     kink g has slope sum_i (|a_i| - theta_i |a_i|)^2 without a box.  Under a
     box it is flat there at the box's best margin, which `_box_limit` has
     found > 0, so only rounding can leave the root past it: then twice the
-    last kink, where every channel sits at its bound, is returned.
+    last kink, where every channel sits at its bound, is returned.  A slope
+    past the float range raises FilterError.
     """
     kinks, slope = [], 0.0
     for x, y, l, b in zip(ul, al, load, bl):
@@ -320,7 +322,13 @@ def _split_root(al: list, ul: list, load: list, bl: list, g0: float,
             for d, lo, hi in ((y - l, 0.0, b), (y + l, -b, 0.0)):
                 kinks += [k for k in ((lo - x) / d, (hi - x) / d) if 0.0 < k < math.inf]
             if b == math.inf:
-                slope += (abs(y) - l) ** 2
+                try:  # ** 2, not x * x, which rounds some squares differently
+                    slope += (abs(y) - l) ** 2
+                except OverflowError:
+                    slope = math.inf
+    if slope == math.inf:
+        raise FilterError("the split route's slope overflows: the constraint data are "
+                          "past the float range")
     kinks.sort()
     lo, glo, hi, ghi = 0.0, g0, None, None
     i, j = 0, len(kinks)
@@ -539,27 +547,25 @@ def _boxed_ball_root(p: float, al: list, ul: list, theta: float, norm_a: float, 
 
 def ball_program(p: float, a: np.ndarray, u0: np.ndarray, theta: float,
                  ub: Optional[np.ndarray] = None) -> ConeProgram:
-    """The paper's ball-route cone program over z = (u, q).
+    """The paper's ball-route cone program over z = (u, t).
 
-    Minimize q - u0 @ u s.t. theta*||a||*||u|| <= p + a @ u, the
-    rotated-cone epigraph ||(sqrt(2) u, q - 1)|| <= q + 1, i.e.
-    2q >= ||u||^2, and the box |u_i| <= ub_i if given.
+    Minimize t s.t. ||u - u0|| <= t, theta*||a||*||u|| <= p + a @ u and the
+    box |u_i| <= ub_i if given: the min-norm problem in its SOCP form, at
+    the scale of u.
     """
     m = a.size
     n = m + 1
-    span = np.hstack([np.eye(m), np.zeros((m, 1))])
-    e_q = np.eye(n)[m]
+    span = np.eye(m, n)  # z -> u
+    e_t = np.eye(n)[m]
     blocks = [
         SocBlock(theta * float(np.linalg.norm(a)) * span, np.zeros(m),
                  np.concatenate([a, [0.0]]), p),
-        SocBlock(np.vstack([math.sqrt(2.0) * span, e_q[None, :]]),
-                 np.concatenate([np.zeros(m), [-1.0]]), e_q, 1.0),
+        SocBlock(span, -u0, e_t, 0.0),
     ]
     if ub is not None:
-        for i in range(m):
-            blocks += [SocBlock(np.zeros((0, n)), np.zeros(0), sign * span[i],
-                                float(ub[i])) for sign in (-1.0, 1.0)]
-    return ConeProgram(c=np.concatenate([-u0, [1.0]]), blocks=tuple(blocks), n_vars=n)
+        blocks += [SocBlock(np.zeros((0, n)), np.zeros(0), sign * span[i], float(ub[i]))
+                   for i in range(m) for sign in (-1.0, 1.0)]
+    return ConeProgram(c=e_t, blocks=tuple(blocks), n_vars=n)
 
 
 def ball_oracle(p: float, a: np.ndarray, u0: np.ndarray, theta: float,
@@ -571,31 +577,31 @@ def ball_oracle(p: float, a: np.ndarray, u0: np.ndarray, theta: float,
 
 def split_program(p: float, a: np.ndarray, u0: np.ndarray, theta_vec: np.ndarray,
                   ub: Optional[np.ndarray] = None) -> ConeProgram:
-    """The split route's cone program over z = (u+, u-, q), u = u+ - u-.
+    """The split route's cone program over z = (u+, u-, t), u = u+ - u-.
 
-    Minimize q - u0 @ u s.t. u+, u- >= 0, the one linear constraint
-    p + (a - theta*|a|) @ u+ - (a + theta*|a|) @ u- >= 0, the rotated-cone
-    epigraph 2q >= ||u+||^2 + ||u-||^2, and |u_i| <= ub_i if given.  Where
-    u+ and u- are complementary, the constraint is the per-channel margin
-    and the epigraph 2q >= ||u||^2; and the optimum is complementary, as
+    Minimize t s.t. ||(u+ - u0, u- + u0)|| <= t, u+, u- >= 0, the one
+    linear constraint p + (a - theta*|a|) @ u+ - (a + theta*|a|) @ u- >= 0
+    and |u_i| <= ub_i if given.  The norm's square is
+    ||u+||^2 + ||u-||^2 - 2 u0 @ u + 2 ||u0||^2.  Where u+ and u- are
+    complementary, the constraint is the per-channel margin and the square
+    is ||u - u0||^2 + ||u0||^2; and the optimum is complementary, as
     shrinking both sides of a channel keeps u, keeps or raises the margin
-    and lowers q.  So the optimal u is the split route's, and unique.
+    and lowers the norm.  So the optimal u is the split route's, and unique.
     """
     m = a.size
     n = 2 * m + 1
     load = theta_vec * np.abs(a)
     span = np.hstack([np.eye(m), -np.eye(m), np.zeros((m, 1))])  # z -> u
-    e_q = np.eye(n)[2 * m]
+    e_t = np.eye(n)[2 * m]
     blocks = [
         SocBlock(np.zeros((0, n)), np.zeros(0), np.concatenate([a - load, -a - load, [0.0]]), p),
-        SocBlock(np.diag(np.concatenate([np.full(2 * m, math.sqrt(2.0)), [1.0]])),
-                 np.concatenate([np.zeros(2 * m), [-1.0]]), e_q, 1.0),
+        SocBlock(np.eye(2 * m, n), np.concatenate([-u0, u0]), e_t, 0.0),
     ]
     blocks += [SocBlock(np.zeros((0, n)), np.zeros(0), row, 0.0) for row in np.eye(n)[:2 * m]]
     if ub is not None:
         blocks += [SocBlock(np.zeros((0, n)), np.zeros(0), sign * span[i], float(ub[i]))
                    for i in range(m) for sign in (-1.0, 1.0)]
-    return ConeProgram(c=np.concatenate([-u0, u0, [1.0]]), blocks=tuple(blocks), n_vars=n)
+    return ConeProgram(c=e_t, blocks=tuple(blocks), n_vars=n)
 
 
 def filter_scalar(p, a, u0, theta, u_max=None) -> FilterResult:

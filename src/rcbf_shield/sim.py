@@ -130,6 +130,8 @@ class Scenario:
         if not (math.isfinite(self.dt) and math.isfinite(self.horizon)):
             raise ValueError(f"dt and horizon must be finite, got dt={self.dt}, "
                              f"horizon={self.horizon}")
+        if not np.isfinite(self.x0).all():
+            raise ValueError(f"x0 must be finite, got {self.x0.tolist()}")
         if self.dt <= 0.0 or self.horizon < self.dt:
             raise ValueError(f"need dt > 0 and horizon >= dt, got dt={self.dt}, "
                              f"horizon={self.horizon}")
@@ -228,7 +230,10 @@ def _adversary_input(adv: Adversary, unc: NormalizedUncertainty, u: np.ndarray,
 def simulate(sc: Scenario) -> SimulationResult:
     """Run the closed loop and record every step (n_steps + 1 rows)."""
     dyn, barrier, unc = sc.dynamics, sc.barrier, sc.uncertainty
-    h0 = float(barrier.h(sc.x0))
+    with np.errstate(all="ignore"):  # an overflowing h(x0) is reported below
+        h0 = float(barrier.h(sc.x0))
+    if not math.isfinite(h0):
+        raise SimulationError(f"h(x0) = {h0} is not finite: the initial state is too large")
     if h0 < 0.0:
         raise SimulationError(f"initial state is unsafe: h(x0) = {h0}")
     if barrier.degree == 2:

@@ -246,10 +246,13 @@ def _active_polish(prog: ConeProgram, z: np.ndarray, tol: float, nu0):
     tangential modes of active cone boundaries, which none of the residuals
     see. With the active set read off the iterate, Newton on the KKT system
     of  min c'z  s.t.  d_j'z + e_j = ||A_j z + b_j||  (j active)  lands at
-    machine precision in two or three steps. The polished point is kept only
-    when it passes feasibility, multiplier-sign and stationarity checks,
-    which on a convex program make it a KKT point, so a wrong active-set
-    guess falls back to the iterate unchanged.  (Its objective is not
+    machine precision in two or three steps.  With more active constraints
+    than variables (a feasible set pinched to a point) the KKT matrix is
+    singular, and each step is its least-squares one.  The polished point
+    is kept only when it passes feasibility, multiplier-sign,
+    complementarity and stationarity checks, which on a convex program
+    make it a KKT point, so a wrong active-set guess falls back to the
+    iterate unchanged.  (Its objective is not
     compared with the iterate's: the iterate need not be feasible, and
     can sit below the optimum.)
     """
@@ -264,7 +267,7 @@ def _active_polish(prog: ConeProgram, z: np.ndarray, tol: float, nu0):
         if margin <= math.sqrt(tol) * scale:
             active.append(j)
     k = len(active)
-    if k == 0 or k > n:
+    if k == 0:
         return None
     zc = z.copy()
     nu = np.array([max(0.0, nu0[j]) for j in active])
@@ -288,10 +291,7 @@ def _active_polish(prog: ConeProgram, z: np.ndarray, tol: float, nu0):
         kkt[:n, n:] = -grads
         kkt[n:, :n] = grads.T
         rhs = np.concatenate([grads @ nu - prog.c, -phi])
-        try:
-            step = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            return None
+        step = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
         if not np.all(np.isfinite(step)):
             return None
         zc = zc + step[:n]
@@ -302,18 +302,21 @@ def _active_polish(prog: ConeProgram, z: np.ndarray, tol: float, nu0):
     if viol > tol * (1.0 + zn):
         return None
     stat = prog.c.copy()
+    gap = 0.0  # s_j @ y_j = nu_j * phi_j, whose sum must vanish
     duals = [np.zeros(blk.A.shape[0] + 1) for blk in prog.blocks]
     for i, j in enumerate(active):
         blk = prog.blocks[j]
         v = blk.A @ zc + blk.b
         nv = float(np.linalg.norm(v))
+        gap += nu[i] * (float(blk.d @ zc) + blk.e - nv)
         duals[j][0] = nu[i]
         if nv <= tiny:
             stat -= nu[i] * blk.d
         else:
             stat -= nu[i] * (blk.d - blk.A.T @ (v / nv))
             duals[j][1:] = -nu[i] * v / nv
-    if float(np.max(np.abs(stat))) > 1e-10 * max(1.0, float(np.max(np.abs(prog.c)))):
+    c_scale = max(1.0, float(np.max(np.abs(prog.c))))
+    if float(np.max(np.abs(stat))) > 1e-10 * c_scale or abs(gap) > tol * c_scale * (1.0 + zn):
         return None
     return zc, duals
 

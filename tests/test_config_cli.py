@@ -277,6 +277,20 @@ def test_non_finite_step_or_horizon_exits_one(tmp_path, capsys, flag, value):
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.filterwarnings("error")  # pytest would hold back numpy's warnings
+@pytest.mark.parametrize("x0, message", [
+    ("1e160", "error: h(x0) = inf is not finite"),  # the barrier overflows
+    ("inf", "error: simulation: x0 must be finite"),
+])
+def test_start_state_past_the_float_range_exits_one(tmp_path, capsys, x0, message):
+    # one error line and nothing else: no numpy warning reaches stderr
+    cfg = _write(tmp_path, f"[simulation]\nx0 = {x0}, 0, 0, 0, -20\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1, err
+    assert os.listdir(tmp_path) == ["case.cfg"]
+
+
 def test_seed_flag_applies_to_random_adversary_only(tmp_path, capsys):
     assert main(["simulate", "--scenario", "fig3_recbf", "--seed", "4",
                  "--out", str(tmp_path)]) == EXIT_CONFIG

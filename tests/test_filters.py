@@ -1,12 +1,15 @@
 """Safety-filter routes: projections, minimality, soundness, dispatch."""
 
 import math
+import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rcbf_shield.verify
 from rcbf_shield.filters import (
     FilterError,
     InfeasibleError,
@@ -146,12 +149,12 @@ def test_epigraph_identity_on_solved_instances():
             continue
         u0 = rng.uniform(-4.0, 4.0, size=m)
         theta = float(rng.uniform(0.0, 0.8))
-        # the oracle's epigraph is tight at its optimum, 2q = ||u||^2, and
+        # the oracle's epigraph is tight at its optimum, t = ||u - u0||, and
         # its u is the ball route's
         oracle = ball_oracle(p, a, u0, theta)
         assert oracle.status == "optimal"
-        u, q = oracle.z[:-1], float(oracle.z[-1])
-        assert 2.0 * q == pytest.approx(float(u @ u), abs=1e-6)
+        u, t = oracle.z[:-1], float(oracle.z[-1])
+        assert t == pytest.approx(float(np.linalg.norm(u - u0)), abs=1e-6)
         assert np.abs(filter_socp(p, a, u0, theta).u - u).max() <= 1e-6
 
 
@@ -270,6 +273,30 @@ def test_exact_routes_never_run_the_cone_solver(monkeypatch):
 def test_wide_scale_stress_corpus_is_certified_and_optimal():
     res = check_wide_scale_stress()
     assert res.passed, res.detail
+
+
+def test_wide_scale_stress_fails_on_a_moved_answer(monkeypatch):
+    # every answer moved by 1e-5 of its scale: ten times the bound
+    def moved(p, a, u0, theta, u_max=None):
+        res = filter_auto(p, a, u0, theta, u_max=u_max)
+        scale = max(1.0, float(np.linalg.norm(u0)), float(np.linalg.norm(res.u)))
+        return replace(res, u=res.u + 1e-5 * scale * np.eye(a.size)[0])
+
+    monkeypatch.setattr(rcbf_shield.verify, "filter_auto", moved)
+    res = check_wide_scale_stress(n_instances=8)
+    assert not res.passed
+    assert float(re.search(r"disagreement (\S+)", res.detail).group(1)) > 9e-6, res.detail
+
+
+def test_wide_scale_stress_fails_on_an_oracle_that_is_not_optimal(monkeypatch):
+    def failing(prog):
+        return replace(solve_socp(prog), status="numerical_failure")
+
+    monkeypatch.setattr(rcbf_shield.verify, "solve_socp", failing)
+    res = check_wide_scale_stress(n_instances=8)
+    assert not res.passed
+    assert "12 of 12 solver runs not optimal" in res.detail
+    assert "first miss ended numerical_failure:\nsocp n_vars=" in res.detail
 
 
 # (p, a, u0, theta, u_max) and the answer of the nested root searches that
@@ -992,3 +1019,11 @@ def test_a_nan_margin_is_never_certified():
         filter_socp(-1.0, a, [1e200, -1e200], 0.5)
     with pytest.raises(FilterError, match="NaN"):
         filter_scalar(-1.0, 1e200, 1e200, 0.5)
+
+
+def test_an_overflowing_split_slope_raises_filter_error():
+    # (|a_i| - theta_i |a_i|)^2 past the float range: a typed error, not an
+    # OverflowError, nor a NaN multiplier that the root search never leaves
+    with pytest.raises(FilterError, match="overflows") as err:
+        filter_qp_channels(-1.0, [1e200, 1e200], [-1e200, 0.0], [0.5, 0.5])
+    assert not isinstance(err.value, InfeasibleError)

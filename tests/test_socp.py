@@ -159,6 +159,23 @@ def test_extreme_scaling_instance():
     assert p + a * u - theta * abs(a) * abs(u) == pytest.approx(0.0, abs=1e-6)
 
 
+def test_feasible_set_pinched_to_a_point():
+    # minimize ||u - u0|| s.t. u1 <= 1, u2 <= 1, u1 + u2 >= 2: only u = (1, 1)
+    # is feasible, no point is strictly so, and four blocks are active on
+    # three variables, where the polish takes least-squares steps
+    u0 = np.array([-1e3, 1.0])
+    e_t = np.eye(3)[2]
+
+    def below(d, e):
+        return SocBlock(np.zeros((0, 3)), np.zeros(0), np.array(d), e)
+
+    blocks = (SocBlock(np.eye(2, 3), -u0, e_t, 0.0), below([-1.0, 0.0, 0.0], 1.0),
+              below([0.0, -1.0, 0.0], 1.0), below([1.0, 1.0, 0.0], -2.0))
+    res = solve_socp(ConeProgram(c=e_t, blocks=blocks, n_vars=3))
+    assert res.status == STATUS_OPTIMAL
+    assert res.z == pytest.approx([1.0, 1.0, float(np.linalg.norm(1.0 - u0))], abs=1e-8)
+
+
 def test_boundary_start_hint_is_repaired():
     # every solve starts at the embedding's central point, which no cone
     # rejects; this program's optimum is (-1, 0)
