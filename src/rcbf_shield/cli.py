@@ -99,9 +99,9 @@ def _build_parser() -> _Parser:
 
 
 def _out_dir(args) -> str:
-    out = args.out or os.environ.get("RCBF_SHIELD_OUT") or "out"
-    os.makedirs(out, exist_ok=True)
-    return out
+    """The output directory; `_write` makes it with the first file, so a
+    run that fails leaves none behind."""
+    return args.out or os.environ.get("RCBF_SHIELD_OUT") or "out"
 
 
 def _load(args) -> Scenario:
@@ -118,6 +118,7 @@ def _load(args) -> Scenario:
 
 
 def _write(path: str, text: str):
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     print(f"wrote {path}")

@@ -21,15 +21,18 @@ monotone search in the constraint's multiplier over a closed-form prox,
 two-dimensional on the ball route without a box (`_ball_root`), a search
 over the sorted kinks of a piecewise-linear margin on the split route
 (`_split_root`), and Newton on the margin's closed-form slope under a box
-(`_boxed_ball_root`).  Every route runs on plain floats, and the margin
-has one definition, `robust_margin` or `channel_margin` on floats (sums
-from +0.0, norms by hypot): a cone route stops at the first u whose margin
-is >= 0 and reports it as the certificate.  Numpy's `a @ u` and norms may
-read it below 0, by at most 2 (m + 2) 2^-53 T, T = |p| + sum_i |a_i u_i| +
-the penalty term (the two evaluations' summed error bounds).  No filter
-runs the interior-point solver: it is the self-checks' oracle, on the
-paper's min-norm programs in SOCP form, minimize t s.t. ||u - u0|| <= t
-(`ball_program`, via `ball_oracle`, and `split_program`).
+(`_boxed_ball_root`), where each evaluation is O(1) on the set of clamped
+channels but for one pass that tests the set.  Both Newton searches stop
+at the first point with g >= 0 whose own step is converged.  Every route
+runs on plain floats, and the margin has one definition, `robust_margin`
+or `channel_margin` on floats (sums from +0.0, norms by hypot): a cone
+route stops at the first u whose margin is >= 0 and reports it as the
+certificate.  Numpy's `a @ u` and norms may read it below 0, by at most
+2 (m + 2) 2^-53 T, T = |p| + sum_i |a_i u_i| + the penalty term (the two
+evaluations' summed error bounds).  No filter runs the interior-point
+solver: it is the self-checks' oracle, on the paper's min-norm programs in
+SOCP form, minimize t s.t. ||u - u0|| <= t (`ball_program`, via
+`ball_oracle`, and `split_program`).
 
 Optionally a symmetric box |u_i| <= u_max_i restricts the input set;
 infeasibility against the box is raised as an error, never relaxed.
@@ -210,22 +213,19 @@ def _try_baseline(u: list, al: list, p: float, margin: Callable[[list], float]
     return None, g0
 
 
-def _box_limit(best: list, g0: float, p: float, margin: Callable[[list], float]
-               ) -> tuple[Optional[list], float]:
-    """Whether the dual root runs, from the box's best-margin input `best`:
-    (None, g0) when best clears the constraint.  Otherwise the margin is at
-    most 0 all over the box, so best is the one candidate: (best, 0.0) when
-    its margin is 0, and else no input in the box is safe.  A NaN margin
-    raises FilterError."""
+def _box_limit(best: list, p: float, margin: Callable[[list], float]) -> float:
+    """The margin of the box's best-margin input `best`: > 0 when best
+    clears the constraint, and the dual root runs.  Otherwise the margin is
+    at most 0 all over the box, so best is the one candidate: the answer
+    when its margin is 0, and else no input in the box is safe.  A NaN
+    margin raises FilterError."""
     value = margin(best)
-    if value > 0.0:
-        return None, g0
     if math.isnan(value):
         raise _overflow(p)
     if value < 0.0:
         raise InfeasibleError(
             f"no input within the box satisfies the robust constraint (p={p})")
-    return best, value
+    return value
 
 
 def _dual_root(lam: float, shrink: Callable[[float], list], margin: Callable[[list], float],
@@ -295,7 +295,7 @@ def _ball_root(p: float, al: list, ul: list, theta: float, norm_a: float,
         c = 1.0 - k / norm_v
         return [x * c for x in v]
 
-    return _newton_root(gd, g0, norm_a * norm_a), shrink
+    return _newton_root(gd, g0, -g0 / max(norm_a * norm_a, 1e-300)), shrink
 
 
 def _split_root(al: list, ul: list, load: list, bl: list, g0: float,
@@ -343,28 +343,18 @@ def _split_root(al: list, ul: list, load: list, bl: list, g0: float,
     return lo + (hi - lo) * (-glo / (ghi - glo)), kinks
 
 
-def _breakpoints(x: list, ub: list, below: float) -> tuple[list, list]:
-    """Clip breakpoints b_i = ub_i / |x_i| < below, sorted, as triples
-    (b_i, ub_i^2, x_i^2), and free[j], the sum of x_i^2 over the channels
-    still free past the j-th breakpoint (free[0]: all of them).  x_i = 0
-    never clamps."""
-    pts = sorted((b / abs(xi), b * b, xi * xi) for xi, b in zip(x, ub) if b < below * abs(xi))
-    free = [0.0] * (len(pts) + 1)
-    free[-1] = sum(xi * xi for xi, b in zip(x, ub) if not b < below * abs(xi))
-    for j in range(len(pts) - 1, -1, -1):
-        free[j] = free[j + 1] + pts[j][2]
-    return pts, free
-
-
 def _box_reach(a: list, ub: list, kappa: float) -> float:
     """The t > 0 with ||clip(t * a)|| = kappa * t, for 0 < kappa < ||a||.
 
-    Between sorted breakpoints ub_i / |a_i| the clamped channels give
-    C = sum ub_i^2 and the free ones F = sum a_i^2, so
-    ||clip(t * a)||^2 = C + t^2 F and t = sqrt(C / (kappa^2 - F)) on the
+    Between the sorted breakpoints ub_i / |a_i| (a_i = 0 never clamps) the
+    clamped channels give C = sum ub_i^2 and the free ones F = sum a_i^2,
+    so ||clip(t * a)||^2 = C + t^2 F and t = sqrt(C / (kappa^2 - F)) on the
     first segment whose end meets ||clip(t * a)|| <= kappa * t.
     """
-    pts, free = _breakpoints(a, ub, math.inf)
+    pts = sorted((b / abs(x), b * b, x * x) for x, b in zip(a, ub) if x)
+    free = [0.0] * (len(pts) + 1)  # free[j]: F past the j-th breakpoint
+    for j in range(len(pts) - 1, -1, -1):
+        free[j] = free[j + 1] + pts[j][2]
     k2, clamped = kappa * kappa, 0.0
     for j, (_, b2, _) in enumerate(pts):  # past the last one F = 0 < kappa^2
         clamped += b2
@@ -373,176 +363,243 @@ def _box_reach(a: list, ub: list, kappa: float) -> float:
             return math.sqrt(clamped / (k2 - f))
 
 
-def _channel_sums(v: list, al: list, ub: list, s: float) -> tuple:
-    """Which channels clip(s * v) clamps (s |v_i| >= ub_i), and over the
-    clamped ones sum ub_i^2 and a @ u, over the free ones v @ v, a @ v and
-    a @ a."""
-    clamped = a_c = free = a_v = a_a = 0.0
-    mask = []
-    for x, y, b in zip(v, al, ub):
-        if s * abs(x) >= b:
-            mask.append(True)
-            clamped += b * b
-            a_c += y * math.copysign(b, x)
-        else:
-            mask.append(False)
-            free += x * x
-            a_v += y * x
-            a_a += y * y
-    return mask, clamped, a_c, free, a_v, a_a
-
-
-def _shrink_scale(v: list, ub: list, k: float, norm_v: float) -> float:
-    """The s in (0, 1] with ||clip(s * v)|| * (1 - s) / s = k, 0 < k < ||v||,
-    by a walk over the sorted breakpoints ub_i / |v_i|: s = 1 - k / ||v||
-    on the segment before the first one, else `_segment_root` on the
-    first segment whose end meets the equation."""
-    pts, free = _breakpoints(v, ub, 1.0)
-    if not pts or k >= norm_v * (1.0 - pts[0][0]):
-        return 1.0 - k / norm_v
-    clamped = 0.0
-    for j, (s, b2, _) in enumerate(pts):
-        clamped += b2
-        end = pts[j + 1][0] if j + 1 < len(pts) else 1.0
-        f = free[j + 1]
-        if k * end >= math.sqrt(clamped + f * end * end) * (1.0 - end):
-            break
-    return _segment_root(clamped, f, k, s)
-
-
 def _segment_root(clamped: float, free: float, k: float, t: float) -> float:
     """The root s of sqrt(C + F s^2) * (1 - s) = k * s, C = clamped > 0 and
-    F = free.  The tangent of the convex N(s) = sqrt(C + F s^2) at any
-    point lies below it, so the root of the tangent's quadratic equation
-    is a lower bound of s: from the tangent at t in (0, 1] (t itself when
-    it lies below the root), then at each new bound, the bounds climb to
-    the root quadratically."""
-    n = math.sqrt(clamped + free * t * t)
-    s = t if n * (1.0 - t) >= k * t else 0.0
+    F = free, from a guess t in (0, 1].  The tangent of the convex
+    N(s) = sqrt(C + F s^2) at any point lies below it, so the root x of the
+    tangent's quadratic equation is a lower bound of s: from the tangent at
+    t, then at each new bound, the bounds climb to the root quadratically.
+    As N''/N <= 1/(4 s^2), x lies below the root by at most about
+    (x - t)^2 / (8 min(x, t)^2), and x is returned once that is below
+    1.25e-16 x."""
     for _ in range(100):  # a bound only: quadratic convergence ends far sooner
+        n = math.sqrt(clamped + free * t * t)
         c0, c1 = clamped / n, free * t / n  # the tangent c0 + c1 * s
         q = c0 - c1 + k
-        x = 2.0 * c0 / (q + math.sqrt(q * q + 4.0 * c0 * c1))  # c1 s^2 + q s = c0
-        if x - s <= 4e-16 * x:
-            return max(s, x)
-        s = t = x
-        n = math.sqrt(clamped + free * t * t)
-    return s
+        e = math.sqrt(q * q + 4.0 * c0 * c1)
+        # the root of c1 s^2 + q s = c0, in the form without cancellation
+        x = 2.0 * c0 / (q + e) if q >= 0.0 else (e - q) / (2.0 * c1)
+        d = (x - t) / (x if x < t else t)
+        if d * d <= 1e-15 * x:
+            return x
+        t = x
+    return x
 
 
-def _newton_root(gd: Callable[[float], tuple[float, float]], g0: float, aa: float) -> float:
-    """Upper end hi of a root bracket of the nondecreasing g, g(hi) >= 0,
-    of relative width 1e-15, given g(0) = g0 < 0 and aa = ||a||^2;
-    gd(lam) returns g(lam) and its slope.
+def _newton_root(gd: Callable[[float], tuple[float, float]], g0: float, y: float) -> float:
+    """An iterate hi at the root of the nondecreasing g with g(hi) >= 0,
+    given g(0) = g0 < 0 and a first point y > 0; gd(lam) returns g(lam)
+    and its slope.  hi is the latest point with g >= 0 that gd evaluated.
 
-    The first step goes to -g0 / aa, and each next one is Newton's from the
-    latest point.  Once a step is below the bracket rule, twice it closes
-    the bracket from the other side.  With no upper end yet, a step that
-    does not move up doubles instead.  After that, a step that leaves the
-    bracket, or one that follows two crossings of the root which did not
-    halve the bracket (Newton cycling about a kink), takes the Illinois
-    secant, or bisection when that leaves the bracket too.
+    After y, each step is Newton's from the latest point.  The search stops
+    at the first iterate with g >= 0 whose own Newton step is converged
+    (at most 1e-15 of it), or where g is 0, or once a root bracket of
+    relative width 1e-15 closes.  A step from below lands past the root: a
+    converged one is doubled, and one of at most 2e-8 of lam, after which
+    Newton's error is near rounding, is lengthened by half the stop rule.
+    With no upper end yet, a step that does not move up doubles lam
+    instead.  After that, a step that leaves the bracket, or one that
+    follows two crossings of the root which did not halve the bracket
+    (Newton cycling about a kink), takes the Illinois secant, or bisection
+    when that leaves the bracket too.
     """
-    lo, hi, ghi = 0.0, math.inf, math.inf
-    flo, fhi, side = g0, math.inf, -1  # the secant's values; Illinois halves the end kept twice
-    x, gx, dx = lo, g0, 0.0
-    widths, crossed = [math.inf, math.inf], [False, False]  # over the last two steps
+    inf = math.inf
+    lo, hi = 0.0, inf
+    flo, fhi, side = g0, inf, -1  # the secant's values; Illinois halves the end kept twice
+    width, crossed = inf, False  # the bracket's width, and whether a step crossed the root
+    y = max(y, 1e-300)
     for i in range(400):  # a bound only
-        if i == 0:
-            y = max(-g0 / max(aa, 1e-300), 1e-300)
+        x = y
+        gx, dx = gd(x)
+        if gx >= 0.0:
+            if gx <= 1e-15 * x * dx:  # its own step is converged, or g = 0
+                return x
+            if side > 0:
+                flo *= 0.5
+            cross, side = side < 0, 1
+            hi, fhi = x, gx
         else:
-            step = -gx / dx if dx > 0.0 else math.nan
-            y = x + (2.0 * step if abs(step) <= 0.5e-15 * abs(x + step) else step)
-            if y == x:
-                y = math.nextafter(x, math.inf if step > 0.0 else -math.inf)
-        if hi == math.inf:
+            if side < 0:
+                fhi *= 0.5
+            cross, side = side > 0, -1
+            if not gx < 0.0:  # NaN (overflow) is unmet, with no slope to follow
+                gx, dx = -inf, 0.0
+            lo, flo = x, gx
+        if hi < inf and hi - lo <= 1e-15 * hi:
+            return hi
+        cycling = crossed and cross and hi - lo > 0.5 * width
+        crossed, width = cross, hi - lo
+        step = -gx / dx if dx > 0.0 else math.nan
+        y = x + step
+        if -1e-15 * y <= step <= 1e-15 * y:
+            y += step
+        elif 0.0 < step <= 2e-8 * x:
+            y += 0.5e-15 * x
+        if y == x:
+            y = math.nextafter(x, inf if step > 0.0 else -inf)
+        if hi == inf:
             if not lo < y:
                 if lo > 1e300:
                     raise InfeasibleError("no multiplier meets the robust constraint")
                 y = 2.0 * lo
-        elif not (lo < y < hi and i < 100) or (all(crossed) and hi - lo > 0.5 * widths[0]):
+        elif cycling or not (lo < y < hi and i < 99):
             y = (lo * fhi - hi * flo) / (fhi - flo)
-            if not (lo < y < hi and i < 100):
+            if not (lo < y < hi and i < 99):
                 y = 0.5 * (lo + hi)
-        x, (gx, dx) = y, gd(y)
-        new = 1 if gx >= 0.0 else -1  # NaN (overflow) is unmet, with no slope to follow
-        crossed = [crossed[1], new != side]
-        if new > 0:
-            hi, ghi, fhi = x, gx, gx
-            if side > 0:
-                flo *= 0.5
-        else:
-            if not gx < 0.0:
-                gx, dx = -math.inf, 0.0
-            lo, flo = x, gx
-            if side < 0:
-                fhi *= 0.5
-        side = new
-        if hi < math.inf and (hi - lo <= 1e-15 * hi or ghi == 0.0):
-            return hi
-        widths = [widths[1], hi - lo]
     return hi
 
 
 def _boxed_ball_root(p: float, al: list, ul: list, theta: float, norm_a: float, bl: list,
-                     g0: float) -> tuple[float, Callable[[float], list]]:
+                     g0: float, top: float) -> tuple[float, Callable[[float], list]]:
     """Dual root lam of the ball route under the box |u_i| <= ub_i, and its
     prox.
 
     The prox of lam * kappa * ||u|| plus the box at v = u0 + lam * a is 0
     when ||v|| <= lam * kappa, else clip(s * v) with s in (0, 1] the root of
-    ||clip(s * v)|| * (1 - s) / s = lam * kappa.  With the clamped channels
-    fixed, C = sum ub_i^2 over them and F = sum v_i^2 over the rest, that
-    is N(s) * (1 - s) = lam * kappa * s with N(s) = sqrt(C + F s^2), solved
-    by `_segment_root`.  The channels clamped at the previous evaluation's
-    s give the first try, kept when they are the ones clamped at its root;
-    else `_shrink_scale` walks the breakpoints.  The root in lam is found
-    by `_newton_root`: on the free channels u_F = s * v_F, and with
-    n = ||u||, differentiating n * (1 - s) = lam * kappa * s and
-    g = p + a @ u - kappa * n gives g's slope in closed form.
+    ||clip(s * v)|| * (1 - s) / s = lam * kappa.  On a clamped set S (each
+    channel in it at the bound of its sign), C = sum ub_i^2 over S and
+    F = ||v_F||^2 over the free channels, that is N_S(s) * (1 - s) =
+    lam * kappa * s with N_S(s) = sqrt(C + F s^2), solved by `_segment_root`.
+    C and a_C @ u_C are constant on S, and v_F is taken in `_ball_root`'s
+    (t, r) coordinates along a_F: t = d_F @ v_F, r the part of u0_F across
+    a_F, d_F = a_F / ||a_F||, so F = t^2 + r^2 and a_F @ v_F = ||a_F|| t.
+    So while S holds, an evaluation costs O(1) and one pass over the
+    channels, which tests S at the s found.  Where the pass finds another
+    set S' clamped at s, the sums are rebuilt on S' and s solved again.
+    This ends on the set clamped at its own s within m + 1 rounds: any S
+    gives N_S(s) >= ||clip(s * v)|| (a channel on the wrong side only adds),
+    so its s bounds the true one from above, and from the second round on
+    each set only frees channels.
+
+    With n = ||u||, differentiating n * (1 - s) = lam * kappa * s and
+    g = p + a_C @ u_C + s * a_F @ v_F - kappa * n gives g's slope in closed
+    form, for `_newton_root`; ds/dlam also predicts the next s.  Where no
+    free channel moves (a_F = 0, and F = 0 or kappa = 0), g is flat until
+    the first clamped channel frees, at a lam in closed form; there the
+    slope reported sends Newton just past that lam.  The first point is
+    the root of g0 + (top - g0) (1 - exp(-lam ||a||^2 / (top - g0))), which
+    starts at g0 with the slope g has without box and theta and tends to
+    top > 0, the box's best margin; past a flat start, if later.  The
+    search ends on an evaluated lam with g >= 0, whose s the certificate
+    takes.
     """
     kappa = theta * norm_a
-    last = [math.nan, (None, 0.5, None)]  # the latest lam and prox(lam): s starts the next one
+    m = len(ul)
+    rows = list(zip(ul, al, bl))
+    # the latest clamped set: its rows, (c u0_i, c a_i, ub_i) with c the sign
+    # of the bound where channel i is clamped and (u0_i, a_i, ub_i) where it
+    # is free, and its sums
+    crows = frows = clamped = a_c = norm_f = t0 = r = None
+    lam0, s0, ds0 = 0.0, 1.0, 0.0  # the latest evaluation
+    root = (math.nan, 0.0)  # the latest (lam, s) with g >= 0
 
-    def prox(lam):
-        """v, s and the `_channel_sums` at s; s = 0 when u = 0."""
-        if lam == last[0]:  # the search's last point, which the answer takes
-            return last[1]
-        v = [x + lam * y for x, y in zip(ul, al)]
-        k, norm_v = lam * kappa, math.hypot(*v)
-        if norm_v <= k:
-            return v, 0.0, None
-        if k == 0.0:
-            return v, 1.0, _channel_sums(v, al, bl, 1.0)
-        hint = last[1][1]
-        sums = _channel_sums(v, al, bl, hint)
-        mask, clamped, _, free, _, _ = sums
-        s = _segment_root(clamped, free, k, hint) if clamped > 0.0 else 1.0 - k / norm_v
-        if [s * abs(x) >= b for x, b in zip(v, bl)] != mask:
-            s = _shrink_scale(v, bl, k, norm_v)
-            sums = _channel_sums(v, al, bl, s)
-        last[:] = lam, (v, s, sums)
-        return v, s, sums
+    def clamp(lam, s):
+        """Make the set that clip(s * v) clamps at lam, and its sums."""
+        nonlocal crows, frows, clamped, a_c, norm_f, t0, r
+        crows, frows, fa, fu = [], [], [], []
+        clamped = a_c = 0.0
+        for x, y, b in rows:
+            w = s * (x + lam * y)
+            if w >= b:
+                crows.append((x, y, b))
+                a_c += y * b
+            elif w <= -b:
+                crows.append((-x, -y, b))
+                a_c -= y * b
+            else:
+                frows.append((x, y, b))
+                fa.append(y)
+                fu.append(x)
+                continue
+            clamped += b * b
+        norm_f = math.hypot(*fa)
+        if norm_f == 0.0:
+            t0, r = 0.0, math.hypot(*fu)
+        else:  # t0 = d_F @ u0_F and r = ||u0_F - t0 d_F||
+            t0 = _dot(fa, fu) / norm_f
+            q = t0 / norm_f
+            r = math.hypot(*[x - q * y for x, y in zip(fu, fa)])
 
-    def shrink(lam):
-        v, s, _ = prox(lam)
-        return [max(-b, min(b, s * x)) for x, b in zip(v, bl)]
+    def flat_end(lam):
+        """Where no free channel moves, a point just past the first lam
+        where a clamped channel frees, c v_i sqrt(C) = ub_i (sqrt(C) +
+        lam kappa); else 0."""
+        if norm_f == 0.0 and (kappa == 0.0 or r == 0.0):
+            rc = math.sqrt(clamped)
+            end = min([rc * (x - b) / (b * kappa - y * rc)
+                       for x, y, b in crows if b * kappa > y * rc], default=math.inf)
+            nxt = max(end, lam) * (1.0 + 2.0 ** -30)
+            if lam < nxt < math.inf:
+                return nxt
+        return 0.0
 
     def gd(lam):
-        v, s, sums = prox(lam)
-        if s == 0.0:
-            return p, 0.0
-        _, clamped, a_c, free, a_v, a_a = sums
-        n = math.sqrt(clamped + s * s * free)  # ||u||
-        g = p + (a_c + s * a_v) - theta * n * norm_a
-        if kappa == 0.0 or n == 0.0:
-            return g, a_a
+        """g(lam) and its slope; s at lam (0 where u = 0) goes to s0, the
+        set clamped there and its sums to the nonlocals."""
+        nonlocal lam0, s0, ds0, root
         k = lam * kappa
-        ds = (kappa * s - (1.0 - s) * s * s * a_v / n) / ((1.0 - s) * s * free / n - n - k)
-        dn = (s * ds * free + s * s * a_v) / n
-        return g, ds * a_v + s * a_a - kappa * dn
+        s = s0 + ds0 * (lam - lam0)
+        if not 0.0 < s <= 1.0:
+            s = s0 or 1.0
+        rounds = 0
+        while True:
+            t = t0 + lam * norm_f
+            free = t * t + r * r
+            if k == 0.0:
+                s = 1.0
+            elif clamped > 0.0:
+                s = _segment_root(clamped, free, k, s)
+            else:
+                n = math.hypot(t, r)  # ||v||
+                s = 1.0 - k / n if n > k else 0.0
+            for x, y, b in crows:  # the pass that tests the set at s
+                if s * (x + lam * y) < b:
+                    break
+            else:
+                for x, y, b in frows:
+                    if not -b < s * (x + lam * y) < b:
+                        break
+                else:
+                    break
+            rounds += 1
+            if rounds > m + 1:  # a bound only: the rounds end within m + 1
+                break
+            clamp(lam, s)
+        lam0, s0 = lam, s
+        if s == 0.0:
+            ds0 = 0.0
+            return p, 0.0
+        a_v = norm_f * t
+        n = math.sqrt(clamped + s * s * free)  # ||u||
+        g = p + (a_c + s * a_v) - kappa * n
+        if g >= 0.0:
+            root = lam, s
+        if kappa == 0.0 or n == 0.0:
+            ds0, slope = 0.0, norm_f * norm_f
+        else:
+            w, e, c = s * a_v / n, s * free / n, 1.0 - s
+            ds0 = ds = s * (kappa - c * w) / (c * e - n - k)
+            slope = ds * (a_v - kappa * e) + s * (norm_f * norm_f - kappa * w)
+        if slope == 0.0 and g < 0.0 and (nxt := flat_end(lam)):
+            slope = -g / (nxt - lam)  # the step to just past the flat stretch
+        return g, slope
 
-    return _newton_root(gd, g0, norm_a * norm_a), shrink
+    def shrink(lam):
+        if lam == root[0]:
+            s = root[1]
+        else:
+            gd(lam)
+            s = s0
+        return [max(-b, min(b, s * (x + lam * y))) for x, y, b in rows]
+
+    clamp(0.0, 1.0)
+    n = math.sqrt(clamped + t0 * t0 + r * r)  # ||u(0)||, where s = 1 and s' = -kappa / ||u(0)||
+    if n > 0.0:
+        ds0 = -kappa / n
+    ratio = -g0 / top
+    y = -g0 / max(norm_a * norm_a, 1e-300) * (
+        (1.0 + 1.0 / ratio) * math.log1p(ratio) if ratio < math.inf else 1.0)
+    return _newton_root(gd, g0, max(y, flat_end(0.0))), shrink
 
 
 def ball_program(p: float, a: np.ndarray, u0: np.ndarray, theta: float,
@@ -677,12 +734,14 @@ def filter_socp(p, a, u0, theta, u_max=None) -> FilterResult:
             u = [max(-b, min(b, t * x)) for x, b in zip(al, ub)]
         else:  # the corner along a; the channels with a_i = 0 do not count
             u = [b if y > 0.0 else -b if y < 0.0 else x for x, y, b in zip(u, al, ub)]
-        ans, value = _box_limit(u, value, p, margin)
+        top = _box_limit(u, p, margin)
+        if top == 0.0:
+            ans, value = u, top
     if ans is None:
         if ub is None:
             lam, shrink = _ball_root(p, al, ul, theta, norm_a, value)
         else:
-            lam, shrink = _boxed_ball_root(p, al, ul, theta, norm_a, ub, value)
+            lam, shrink = _boxed_ball_root(p, al, ul, theta, norm_a, ub, value, top)
         ans, value = _dual_root(lam, shrink, margin)
     coef = -theta * math.hypot(*ans)  # w* = -theta ||u|| a / ||a||, as worst_case_input
     w_star = [coef * x / norm_a for x in al] if norm_a > 0.0 else [0.0] * len(al)
@@ -709,7 +768,8 @@ def filter_qp_channels(p, a, u0, theta, u_max=None) -> FilterResult:
     if ans is None and ub is not None:
         # the best margin in the box: each channel at its bound along a_i
         u = [b if y > 0.0 else -b if y < 0.0 else x for x, y, b in zip(u, al, ub)]
-        ans, value = _box_limit(u, value, p, margin)
+        if _box_limit(u, p, margin) == 0.0:
+            ans, value = u, 0.0
     if ans is None:
         bl = ub or [math.inf] * m
         rows = list(zip(ul, al, load, bl))

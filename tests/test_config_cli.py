@@ -291,6 +291,21 @@ def test_start_state_past_the_float_range_exits_one(tmp_path, capsys, x0, messag
     assert os.listdir(tmp_path) == ["case.cfg"]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, extra", [("simulate", ""),
+                                            ("sweep", "sweep_thetas = 0.2, 0.4\n")])
+def test_a_failed_run_leaves_no_output_directory(tmp_path, capsys, command, extra):
+    cfg = _write(tmp_path, f"[simulation]\nx0 = 1e160, 0, 0, 0, -20\n{extra}")
+    out = tmp_path / "new" / "run"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: h(x0) = inf is not finite")
+    assert sorted(os.listdir(tmp_path)) == ["case.cfg"]
+    # a run that succeeds makes the directory with its first file
+    assert main(["simulate", "--scenario", "fig3_recbf", "--horizon", "0.1",
+                 "--out", str(out)]) == EXIT_OK
+    assert sorted(os.listdir(out)) == ["fig3_recbf.csv", "metrics.txt"]
+
+
 def test_seed_flag_applies_to_random_adversary_only(tmp_path, capsys):
     assert main(["simulate", "--scenario", "fig3_recbf", "--seed", "4",
                  "--out", str(tmp_path)]) == EXIT_CONFIG

@@ -846,6 +846,87 @@ def test_float_routes_match_the_array_routes():
     assert seen.get(("every channel clamped", "split boxed"), 0) > 0
 
 
+_BOXED_KINDS = ("flat start", "zero a_i", "tied breakpoints", "random")
+
+
+def _boxed_ball_corpus(n=480, seed=20218):
+    """(kind, p, a, u0, theta, ub) for the ball route under a box, m 2..5,
+    |a| and |u0| at scales 1e-2..1e3: the box-projected baseline fails and
+    the box holds a safe input.  "flat start": every channel of u0 lies
+    outside the box, so all are clamped at lam = 0; "tied breakpoints":
+    channel 1 mirrors channel 0, so both clamp at the same s."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        kind = _BOXED_KINDS[i % len(_BOXED_KINDS)]
+        m = 2 + (i // len(_BOXED_KINDS)) % 4
+        sa, su = 10.0 ** rng.uniform(-2.0, 3.0, size=2)
+        a = rng.normal(size=m) * sa
+        ub = su * rng.uniform(0.3, 1.5, size=m)
+        u0 = ub * rng.uniform(-3.0, 3.0, size=m)
+        theta = float(rng.choice([0.0, rng.uniform(0.0, 0.9)], p=[0.1, 0.9]))
+        if kind == "flat start":
+            u0 = ub * rng.uniform(1.0, 3.0, size=m) * rng.choice([-1.0, 1.0], size=m)
+        elif kind == "zero a_i":
+            a[int(rng.integers(m))] = 0.0
+        elif kind == "tied breakpoints":
+            sign = float(rng.choice([-1.0, 1.0]))
+            a[1], u0[1], ub[1] = sign * a[0], sign * u0[0], ub[0]
+        kappa = theta * float(np.linalg.norm(a))
+        if kappa > 0.0:
+            best = np.clip(_ref_box_reach(a.tolist(), ub.tolist(), kappa) * a, -ub, ub)
+        else:
+            best = np.sign(a) * ub
+        base = robust_margin(0.0, a, np.clip(u0, -ub, ub), theta)
+        top = robust_margin(0.0, a, best, theta)
+        if not top > base:
+            continue  # the baseline is the box's best input: nothing to search
+        p = -(base + float(rng.uniform(0.05, 0.95)) * (top - base))
+        out.append((kind, p, a, u0, theta, ub))
+    return out
+
+
+def _ref_clamped(a, u0, theta, ub, lam):
+    """Signs of the channels that the reference prox clamps at lam."""
+    v = u0 + lam * a
+    k, norm_v = lam * theta * float(np.linalg.norm(a)), float(np.linalg.norm(v))
+    if norm_v <= k:
+        return [0] * a.size
+    s = _ref_shrink_scale(v.tolist(), ub.tolist(), k, norm_v) if k > 0.0 else 1.0
+    return [int(np.sign(x)) if abs(s * x) >= b else 0 for x, b in zip(v, ub)]
+
+
+def test_boxed_ball_search_matches_the_reference(monkeypatch):
+    # the active-set search against the array-era reference, over flat
+    # starts, zero a_i, tied breakpoints and searches whose clamped set at
+    # the root differs from the one at their first point
+    firsts = []
+
+    def spy(gd, g0, y):
+        def first(lam):
+            if len(firsts) < calls[0]:
+                firsts.append(lam)
+            return gd(lam)
+        return newton(first, g0, y)
+
+    newton, calls = rcbf_shield.filters._newton_root, [0]
+    monkeypatch.setattr(rcbf_shield.filters, "_newton_root", spy)
+    seen = dict.fromkeys(_BOXED_KINDS[:-1] + ("set changes",), 0)
+    for kind, p, a, u0, theta, ub in _boxed_ball_corpus():
+        calls[0] += 1
+        want = _ref_filter(p, a, u0, theta, u_max=ub)
+        res = filter_socp(p, a, u0, theta, u_max=ub)
+        assert res.margin >= 0.0 and np.all(np.abs(res.u) <= ub), (kind, p, a, u0, theta, ub)
+        scale = max(1.0, float(np.linalg.norm(u0)), float(np.linalg.norm(res.u)))
+        assert np.linalg.norm(res.u - want) <= 1e-12 * scale, (kind, p, a, u0, theta, ub)
+        assert len(firsts) == calls[0], "every instance searches"
+        if kind != "random":
+            seen[kind] += 1
+        root = [int(np.sign(x)) if abs(x) == b else 0 for x, b in zip(res.u, ub)]
+        seen["set changes"] += root != _ref_clamped(a, u0, theta, ub, firsts[-1])
+    assert min(seen.values()) >= 20, seen
+
+
 def test_cone_routes_keep_their_argument_errors():
     two, three = np.array([1.0, -2.0]), np.array([1.0, 2.0, 3.0])
     nan, inf = math.nan, math.inf
