@@ -213,19 +213,22 @@ def _try_baseline(u: list, al: list, p: float, margin: Callable[[list], float]
     return None, g0
 
 
-def _box_limit(best: list, p: float, margin: Callable[[list], float]) -> float:
-    """The margin of the box's best-margin input `best`: > 0 when best
-    clears the constraint, and the dual root runs.  Otherwise the margin is
-    at most 0 all over the box, so best is the one candidate: the answer
-    when its margin is 0, and else no input in the box is safe.  A NaN
-    margin raises FilterError."""
+def _box_limit(best: list, g0: float, p: float, margin: Callable[[list], float]
+               ) -> tuple[Optional[list], float]:
+    """Whether the dual root runs, from the box's best-margin input `best`:
+    (None, g0) when best clears the constraint.  Otherwise the margin is at
+    most 0 all over the box, so best is the one candidate: (best, 0.0) when
+    its margin is 0, and else no input in the box is safe.  A NaN margin
+    raises FilterError."""
     value = margin(best)
+    if value > 0.0:
+        return None, g0
     if math.isnan(value):
         raise _overflow(p)
     if value < 0.0:
         raise InfeasibleError(
             f"no input within the box satisfies the robust constraint (p={p})")
-    return value
+    return best, value
 
 
 def _dual_root(lam: float, shrink: Callable[[float], list], margin: Callable[[list], float],
@@ -450,7 +453,7 @@ def _newton_root(gd: Callable[[float], tuple[float, float]], g0: float, y: float
 
 
 def _boxed_ball_root(p: float, al: list, ul: list, theta: float, norm_a: float, bl: list,
-                     g0: float, top: float) -> tuple[float, Callable[[float], list]]:
+                     g0: float) -> tuple[float, Callable[[float], list]]:
     """Dual root lam of the ball route under the box |u_i| <= ub_i, and its
     prox.
 
@@ -466,10 +469,10 @@ def _boxed_ball_root(p: float, al: list, ul: list, theta: float, norm_a: float, 
     So while S holds, an evaluation costs O(1) and one pass over the
     channels, which tests S at the s found.  Where the pass finds another
     set S' clamped at s, the sums are rebuilt on S' and s solved again.
-    This ends on the set clamped at its own s within m + 1 rounds: any S
-    gives N_S(s) >= ||clip(s * v)|| (a channel on the wrong side only adds),
-    so its s bounds the true one from above, and from the second round on
-    each set only frees channels.
+    Any S gives N_S(s) >= ||clip(s * v)|| (a channel on the wrong side only
+    adds), so its s bounds the true one from above, and s falls from round
+    to round: after the rebuild a round only frees the clamped channels
+    below their bounds at its s, so the rounds end within m more.
 
     With n = ||u||, differentiating n * (1 - s) = lam * kappa * s and
     g = p + a_C @ u_C + s * a_F @ v_F - kappa * n gives g's slope in closed
@@ -477,41 +480,28 @@ def _boxed_ball_root(p: float, al: list, ul: list, theta: float, norm_a: float, 
     free channel moves (a_F = 0, and F = 0 or kappa = 0), g is flat until
     the first clamped channel frees, at a lam in closed form; there the
     slope reported sends Newton just past that lam.  The first point is
-    the root of g0 + (top - g0) (1 - exp(-lam ||a||^2 / (top - g0))), which
-    starts at g0 with the slope g has without box and theta and tends to
-    top > 0, the box's best margin; past a flat start, if later.  The
-    search ends on an evaluated lam with g >= 0, whose s the certificate
-    takes.
+    -g0 / ||a||^2, or just past a flat start if that is later.  The search
+    ends on an evaluated lam with g >= 0, whose s the certificate takes.
     """
     kappa = theta * norm_a
-    m = len(ul)
     rows = list(zip(ul, al, bl))
     # the latest clamped set: its rows, (c u0_i, c a_i, ub_i) with c the sign
-    # of the bound where channel i is clamped and (u0_i, a_i, ub_i) where it
-    # is free, and its sums
+    # of the bound where channel i is clamped; the free rows, which the sums
+    # and the set test take up to sign; and the sums
     crows = frows = clamped = a_c = norm_f = t0 = r = None
     lam0, s0, ds0 = 0.0, 1.0, 0.0  # the latest evaluation
     root = (math.nan, 0.0)  # the latest (lam, s) with g >= 0
 
-    def clamp(lam, s):
-        """Make the set that clip(s * v) clamps at lam, and its sums."""
+    def take(cr, fr):
+        """Make cr the clamped rows and fr the free ones, and their sums."""
         nonlocal crows, frows, clamped, a_c, norm_f, t0, r
-        crows, frows, fa, fu = [], [], [], []
+        crows, frows = cr, fr
         clamped = a_c = 0.0
-        for x, y, b in rows:
-            w = s * (x + lam * y)
-            if w >= b:
-                crows.append((x, y, b))
-                a_c += y * b
-            elif w <= -b:
-                crows.append((-x, -y, b))
-                a_c -= y * b
-            else:
-                frows.append((x, y, b))
-                fa.append(y)
-                fu.append(x)
-                continue
+        for _, y, b in cr:
             clamped += b * b
+            a_c += y * b
+        fu = [x for x, _, _ in fr]
+        fa = [y for _, y, _ in fr]
         norm_f = math.hypot(*fa)
         if norm_f == 0.0:
             t0, r = 0.0, math.hypot(*fu)
@@ -519,6 +509,19 @@ def _boxed_ball_root(p: float, al: list, ul: list, theta: float, norm_a: float, 
             t0 = _dot(fa, fu) / norm_f
             q = t0 / norm_f
             r = math.hypot(*[x - q * y for x, y in zip(fu, fa)])
+
+    def clamp(lam, s):
+        """Make the set that clip(s * v) clamps at lam, and its sums."""
+        cr, fr = [], []
+        for x, y, b in rows:
+            w = s * (x + lam * y)
+            if w >= b:
+                cr.append((x, y, b))
+            elif w <= -b:
+                cr.append((-x, -y, b))
+            else:
+                fr.append((x, y, b))
+        take(cr, fr)
 
     def flat_end(lam):
         """Where no free channel moves, a point just past the first lam
@@ -541,7 +544,7 @@ def _boxed_ball_root(p: float, al: list, ul: list, theta: float, norm_a: float, 
         s = s0 + ds0 * (lam - lam0)
         if not 0.0 < s <= 1.0:
             s = s0 or 1.0
-        rounds = 0
+        rebuilt = False
         while True:
             t = t0 + lam * norm_f
             free = t * t + r * r
@@ -552,6 +555,14 @@ def _boxed_ball_root(p: float, al: list, ul: list, theta: float, norm_a: float, 
             else:
                 n = math.hypot(t, r)  # ||v||
                 s = 1.0 - k / n if n > k else 0.0
+            if rebuilt:  # a later round only frees channels, so the rounds end
+                kept, freed = [], []
+                for x, y, b in crows:
+                    (kept if s * (x + lam * y) >= b else freed).append((x, y, b))
+                if not freed:
+                    break
+                take(kept, frows + freed)
+                continue
             for x, y, b in crows:  # the pass that tests the set at s
                 if s * (x + lam * y) < b:
                     break
@@ -561,10 +572,8 @@ def _boxed_ball_root(p: float, al: list, ul: list, theta: float, norm_a: float, 
                         break
                 else:
                     break
-            rounds += 1
-            if rounds > m + 1:  # a bound only: the rounds end within m + 1
-                break
             clamp(lam, s)
+            rebuilt = True
         lam0, s0 = lam, s
         if s == 0.0:
             ds0 = 0.0
@@ -596,10 +605,7 @@ def _boxed_ball_root(p: float, al: list, ul: list, theta: float, norm_a: float, 
     n = math.sqrt(clamped + t0 * t0 + r * r)  # ||u(0)||, where s = 1 and s' = -kappa / ||u(0)||
     if n > 0.0:
         ds0 = -kappa / n
-    ratio = -g0 / top
-    y = -g0 / max(norm_a * norm_a, 1e-300) * (
-        (1.0 + 1.0 / ratio) * math.log1p(ratio) if ratio < math.inf else 1.0)
-    return _newton_root(gd, g0, max(y, flat_end(0.0))), shrink
+    return _newton_root(gd, g0, max(-g0 / max(norm_a * norm_a, 1e-300), flat_end(0.0))), shrink
 
 
 def ball_program(p: float, a: np.ndarray, u0: np.ndarray, theta: float,
@@ -734,14 +740,12 @@ def filter_socp(p, a, u0, theta, u_max=None) -> FilterResult:
             u = [max(-b, min(b, t * x)) for x, b in zip(al, ub)]
         else:  # the corner along a; the channels with a_i = 0 do not count
             u = [b if y > 0.0 else -b if y < 0.0 else x for x, y, b in zip(u, al, ub)]
-        top = _box_limit(u, p, margin)
-        if top == 0.0:
-            ans, value = u, top
+        ans, value = _box_limit(u, value, p, margin)
     if ans is None:
         if ub is None:
             lam, shrink = _ball_root(p, al, ul, theta, norm_a, value)
         else:
-            lam, shrink = _boxed_ball_root(p, al, ul, theta, norm_a, ub, value, top)
+            lam, shrink = _boxed_ball_root(p, al, ul, theta, norm_a, ub, value)
         ans, value = _dual_root(lam, shrink, margin)
     coef = -theta * math.hypot(*ans)  # w* = -theta ||u|| a / ||a||, as worst_case_input
     w_star = [coef * x / norm_a for x in al] if norm_a > 0.0 else [0.0] * len(al)
@@ -768,8 +772,7 @@ def filter_qp_channels(p, a, u0, theta, u_max=None) -> FilterResult:
     if ans is None and ub is not None:
         # the best margin in the box: each channel at its bound along a_i
         u = [b if y > 0.0 else -b if y < 0.0 else x for x, y, b in zip(u, al, ub)]
-        if _box_limit(u, p, margin) == 0.0:
-            ans, value = u, 0.0
+        ans, value = _box_limit(u, value, p, margin)
     if ans is None:
         bl = ub or [math.inf] * m
         rows = list(zip(ul, al, load, bl))

@@ -982,6 +982,15 @@ def test_ball_route_survives_an_underflowing_a_dot_a():
         assert np.all(np.isfinite(res.w_star))
 
 
+def test_boxed_ball_route_solves_a_failing_margin_near_underflow():
+    # g(0) = p is subnormal or tiny beside the box's best margin: the first
+    # point -p / ||a||^2 is already the root, and the box corner is safe
+    for p, u_max in ((-1e-300, 1e30), (-1e-310, 1.0)):
+        res = filter_socp(p, [1.0, 1.0], [0.0, 0.0], 0.0, u_max=u_max)
+        assert res.margin >= 0.0 and res.margin == robust_margin(p, [1.0, 1.0], res.u, 0.0)
+        assert res.u[0] == res.u[1] and 0.0 < res.u[0] <= 1e-299
+
+
 def test_split_route_lands_on_a_kink_beside_a_flat_stretch():
     # p puts the root of g on a kink k, so u(k) is the exact answer.  Where
     # no channel moves on one side of k, g stays 0 there and the sign of
