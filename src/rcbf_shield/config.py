@@ -30,6 +30,7 @@ from typing import Optional
 
 import numpy as np
 
+from .filters import _bounds
 from .sectors import (
     NormalizedUncertainty,
     SectorBound,
@@ -181,8 +182,10 @@ def _build_scenario(values: dict, name: str) -> Scenario:
     _require(filter_mode in SIM_FILTER_MODES,
              f"controller.filter_mode: unknown mode {filter_mode!r}")
     u_max = v["controller.u_max"]
-    if u_max is not None:
-        _require(u_max > 0.0, f"controller.u_max must be positive, got {u_max}")
+    try:
+        _bounds(u_max, 1)  # the filters' own box check
+    except ValueError as exc:
+        raise ConfigError(f"controller.u_max: {exc}, got {u_max}") from None
 
     plant_theta = v["simulation.plant_theta"]
     if plant_theta is not None:

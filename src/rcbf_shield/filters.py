@@ -22,17 +22,19 @@ two-dimensional on the ball route without a box (`_ball_root`), a search
 over the sorted kinks of a piecewise-linear margin on the split route
 (`_split_root`), and Newton on the margin's closed-form slope under a box
 (`_boxed_ball_root`), where each evaluation is O(1) on the set of clamped
-channels but for one pass that tests the set.  Both Newton searches stop
-at the first point with g >= 0 whose own step is converged.  Every route
-runs on plain floats, and the margin has one definition, `robust_margin`
-or `channel_margin` on floats (sums from +0.0, norms by hypot): a cone
-route stops at the first u whose margin is >= 0 and reports it as the
-certificate.  Numpy's `a @ u` and norms may read it below 0, by at most
-2 (m + 2) 2^-53 T, T = |p| + sum_i |a_i u_i| + the penalty term (the two
-evaluations' summed error bounds).  No filter runs the interior-point
-solver: it is the self-checks' oracle, on the paper's min-norm programs in
-SOCP form, minimize t s.t. ||u - u0|| <= t (`ball_program`, via
-`ball_oracle`, and `split_program`).
+channels but for one pass that tests the set.  Both ball searches run
+`_newton_root`: Newton steps, kept in a root bracket by doubling, the
+Illinois secant and bisection, up to the first point with g >= 0 whose
+own step is converged.  Every route runs on plain floats, and the margin
+has one definition, `robust_margin` or `channel_margin` on floats (sums
+from +0.0, norms by hypot): a cone route stops at the first u whose
+margin is >= 0 and reports it as the certificate.  Numpy's `a @ u` and
+norms may read it below 0, by at most 2 (m + 2) 2^-53 T,
+T = |p| + sum_i |a_i u_i| + the penalty term (the two evaluations'
+summed error bounds).  No filter runs the interior-point solver: it is
+the self-checks' oracle, on the paper's min-norm programs in SOCP form,
+minimize t s.t. ||u - u0|| <= t (`ball_program`, via `ball_oracle`, and
+`split_program`).
 
 Optionally a symmetric box |u_i| <= u_max_i restricts the input set;
 infeasibility against the box is raised as an error, never relaxed.
@@ -394,17 +396,15 @@ def _newton_root(gd: Callable[[float], tuple[float, float]], g0: float, y: float
     given g(0) = g0 < 0 and a first point y > 0; gd(lam) returns g(lam)
     and its slope.  hi is the latest point with g >= 0 that gd evaluated.
 
-    After y, each step is Newton's from the latest point.  The search stops
-    at the first iterate with g >= 0 whose own Newton step is converged
-    (at most 1e-15 of it), or where g is 0, or once a root bracket of
-    relative width 1e-15 closes.  A step from below lands past the root: a
-    converged one is doubled, and one of at most 2e-8 of lam, after which
-    Newton's error is near rounding, is lengthened by half the stop rule.
-    With no upper end yet, a step that does not move up doubles lam
-    instead.  After that, a step that leaves the bracket, or one that
-    follows two crossings of the root which did not halve the bracket
-    (Newton cycling about a kink), takes the Illinois secant, or bisection
-    when that leaves the bracket too.
+    After y, each step is Newton's from the latest point, and a step that
+    rounds to nothing moves one ulp.  The search stops at the first
+    iterate with g >= 0 whose own Newton step is converged (at most 1e-15
+    of it), or where g is 0, or once a root bracket of relative width
+    1e-15 closes.  With no upper end yet, a step that does not move up (g
+    flat, or a step back) doubles lam instead.  After that, a step that
+    leaves the bracket, or one that follows two crossings of the root
+    which did not halve the bracket (Newton cycling about a kink), takes
+    the Illinois secant, or bisection when that leaves the bracket too.
     """
     inf = math.inf
     lo, hi = 0.0, inf
@@ -434,10 +434,6 @@ def _newton_root(gd: Callable[[float], tuple[float, float]], g0: float, y: float
         crossed, width = cross, hi - lo
         step = -gx / dx if dx > 0.0 else math.nan
         y = x + step
-        if -1e-15 * y <= step <= 1e-15 * y:
-            y += step
-        elif 0.0 < step <= 2e-8 * x:
-            y += 0.5e-15 * x
         if y == x:
             y = math.nextafter(x, inf if step > 0.0 else -inf)
         if hi == inf:
@@ -476,12 +472,11 @@ def _boxed_ball_root(p: float, al: list, ul: list, theta: float, norm_a: float, 
 
     With n = ||u||, differentiating n * (1 - s) = lam * kappa * s and
     g = p + a_C @ u_C + s * a_F @ v_F - kappa * n gives g's slope in closed
-    form, for `_newton_root`; ds/dlam also predicts the next s.  Where no
-    free channel moves (a_F = 0, and F = 0 or kappa = 0), g is flat until
-    the first clamped channel frees, at a lam in closed form; there the
-    slope reported sends Newton just past that lam.  The first point is
-    -g0 / ||a||^2, or just past a flat start if that is later.  The search
-    ends on an evaluated lam with g >= 0, whose s the certificate takes.
+    form, for `_newton_root` from the first point -g0 / ||a||^2.  Where no
+    free channel moves (a_F = 0, and F = 0 or kappa = 0), g is flat until a
+    clamped channel frees, and Newton's doubling steps past that stretch.
+    Each evaluation starts `_segment_root` from the latest evaluation's s,
+    and the prox at the root evaluates g there once more for its s.
     """
     kappa = theta * norm_a
     rows = list(zip(ul, al, bl))
@@ -489,8 +484,7 @@ def _boxed_ball_root(p: float, al: list, ul: list, theta: float, norm_a: float, 
     # of the bound where channel i is clamped; the free rows, which the sums
     # and the set test take up to sign; and the sums
     crows = frows = clamped = a_c = norm_f = t0 = r = None
-    lam0, s0, ds0 = 0.0, 1.0, 0.0  # the latest evaluation
-    root = (math.nan, 0.0)  # the latest (lam, s) with g >= 0
+    s0 = 1.0  # s at the latest evaluation
 
     def take(cr, fr):
         """Make cr the clamped rows and fr the free ones, and their sums."""
@@ -523,27 +517,11 @@ def _boxed_ball_root(p: float, al: list, ul: list, theta: float, norm_a: float, 
                 fr.append((x, y, b))
         take(cr, fr)
 
-    def flat_end(lam):
-        """Where no free channel moves, a point just past the first lam
-        where a clamped channel frees, c v_i sqrt(C) = ub_i (sqrt(C) +
-        lam kappa); else 0."""
-        if norm_f == 0.0 and (kappa == 0.0 or r == 0.0):
-            rc = math.sqrt(clamped)
-            end = min([rc * (x - b) / (b * kappa - y * rc)
-                       for x, y, b in crows if b * kappa > y * rc], default=math.inf)
-            nxt = max(end, lam) * (1.0 + 2.0 ** -30)
-            if lam < nxt < math.inf:
-                return nxt
-        return 0.0
-
     def gd(lam):
         """g(lam) and its slope; s at lam (0 where u = 0) goes to s0, the
         set clamped there and its sums to the nonlocals."""
-        nonlocal lam0, s0, ds0, root
-        k = lam * kappa
-        s = s0 + ds0 * (lam - lam0)
-        if not 0.0 < s <= 1.0:
-            s = s0 or 1.0
+        nonlocal s0
+        k, s = lam * kappa, s0 or 1.0
         rebuilt = False
         while True:
             t = t0 + lam * norm_f
@@ -574,38 +552,24 @@ def _boxed_ball_root(p: float, al: list, ul: list, theta: float, norm_a: float, 
                     break
             clamp(lam, s)
             rebuilt = True
-        lam0, s0 = lam, s
+        s0 = s
         if s == 0.0:
-            ds0 = 0.0
             return p, 0.0
         a_v = norm_f * t
         n = math.sqrt(clamped + s * s * free)  # ||u||
         g = p + (a_c + s * a_v) - kappa * n
-        if g >= 0.0:
-            root = lam, s
         if kappa == 0.0 or n == 0.0:
-            ds0, slope = 0.0, norm_f * norm_f
-        else:
-            w, e, c = s * a_v / n, s * free / n, 1.0 - s
-            ds0 = ds = s * (kappa - c * w) / (c * e - n - k)
-            slope = ds * (a_v - kappa * e) + s * (norm_f * norm_f - kappa * w)
-        if slope == 0.0 and g < 0.0 and (nxt := flat_end(lam)):
-            slope = -g / (nxt - lam)  # the step to just past the flat stretch
-        return g, slope
+            return g, norm_f * norm_f
+        w, e, c = s * a_v / n, s * free / n, 1.0 - s
+        ds = s * (kappa - c * w) / (c * e - n - k)
+        return g, ds * (a_v - kappa * e) + s * (norm_f * norm_f - kappa * w)
 
     def shrink(lam):
-        if lam == root[0]:
-            s = root[1]
-        else:
-            gd(lam)
-            s = s0
-        return [max(-b, min(b, s * (x + lam * y))) for x, y, b in rows]
+        gd(lam)
+        return [max(-b, min(b, s0 * (x + lam * y))) for x, y, b in rows]
 
     clamp(0.0, 1.0)
-    n = math.sqrt(clamped + t0 * t0 + r * r)  # ||u(0)||, where s = 1 and s' = -kappa / ||u(0)||
-    if n > 0.0:
-        ds0 = -kappa / n
-    return _newton_root(gd, g0, max(-g0 / max(norm_a * norm_a, 1e-300), flat_end(0.0))), shrink
+    return _newton_root(gd, g0, -g0 / max(norm_a * norm_a, 1e-300)), shrink
 
 
 def ball_program(p: float, a: np.ndarray, u0: np.ndarray, theta: float,

@@ -54,10 +54,6 @@ __all__ = [
     "trajectory_metrics",
 ]
 
-#: Barrier dips beyond this count as violations; set by the discretization
-#: error floor at the default 1 kHz step.
-TOL_SAFE = 1e-3
-
 ADVERSARY_KINDS = ("nominal", "worst_case", "scripted")
 SIM_FILTER_MODES = ("off",) + FILTER_MODES
 
@@ -297,6 +293,7 @@ def simulate(sc: Scenario) -> SimulationResult:
 def trajectory_metrics(traj: SimulationResult, barrier: Barrier) -> dict:
     """Safety summary of one run.
 
+    violation is any sampled h below 0; a dip between samples goes unseen.
     min_distance is reported when the barrier carries an obstacle radius
     (distance = sqrt(h + radius^2)); NaN otherwise.
     """
@@ -310,7 +307,7 @@ def trajectory_metrics(traj: SimulationResult, barrier: Barrier) -> dict:
         "min_h": min_h,
         "t_min_h": float(traj.times[idx]),
         "min_distance": min_distance,
-        "violation": bool(min_h < -TOL_SAFE),
+        "violation": bool(min_h < 0.0),
         "max_abs_u": float(np.max(np.abs(traj.us))),
         "steps_altered": int(np.count_nonzero(traj.altered)),
         "steps_infeasible": int(np.count_nonzero(traj.infeasible)),

@@ -74,6 +74,18 @@ def test_range_checks_name_the_key(tmp_path):
         parse_config(_write(tmp_path, "[simulation]\nadversary = chaos\n"))
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_a_box_bound_the_filters_reject_is_named_by_its_key(tmp_path, capsys, value):
+    # the filters' own box check runs when the scenario is built, so an
+    # infinite bound fails as a config error naming its key, not mid-run
+    path = _write(tmp_path, f"[controller]\nu_max = {value}\n")
+    with pytest.raises(ConfigError, match=r"^controller\.u_max: box bounds must be "
+                                          r"positive and finite"):
+        parse_config(path)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: controller.u_max: ")
+
+
 def test_saturation_adversary_needs_its_parameters(tmp_path):
     with pytest.raises(ConfigError, match="sat_level"):
         parse_config(_write(tmp_path, "[simulation]\nadversary = saturation\n"))
@@ -173,6 +185,17 @@ def test_simulate_writes_outputs_and_exits_zero(tmp_path, capsys):
     svg = open(os.path.join(out, "trajectory.svg"), encoding="utf-8").read()
     assert svg.startswith("<svg") and "circle" in svg
     assert "min_distance=" in capsys.readouterr().out
+
+
+def test_a_sampled_dip_below_zero_is_a_violation(tmp_path):
+    # at dt = 0.02 the run samples h at -7.7e-4: inside the disk, however
+    # shallow the dip
+    out = str(tmp_path / "run")
+    assert main(["simulate", "--scenario", "fig3_recbf", "--dt", "0.02", "--out", out]) == EXIT_OK
+    metrics = open(os.path.join(out, "metrics.txt"), encoding="utf-8").read().split()
+    min_h = float(next(x for x in metrics if x.startswith("min_h="))[len("min_h="):])
+    assert -1e-3 < min_h < 0.0
+    assert "violation=true" in metrics
 
 
 def test_simulate_is_byte_identical(tmp_path):

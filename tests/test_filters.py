@@ -927,6 +927,55 @@ def test_boxed_ball_search_matches_the_reference(monkeypatch):
     assert min(seen.values()) >= 20, seen
 
 
+def test_boxed_ball_search_breaks_a_newton_cycle(monkeypatch):
+    # instance 1003 of the seed-7919 boxed_filters corpus: Newton cycles
+    # about a kink of g where the clamped set changes, and the search
+    # takes 66 evaluations with the cycling test switched off
+    p, theta, u_max = -0.17189336222366555, 0.6255042944053705, 0.9603123914633849
+    a = np.array([-0.07408994557951523, -0.41395342767488236, 0.1072497587953909,
+                  -0.16568163646488399, 0.13505119489363598])
+    u0 = np.array([1.0220116286237013, 2.2430249995243456, 0.9067805957219265,
+                   1.7389815367543844, -1.2309949454956683])
+    newton, evals = rcbf_shield.filters._newton_root, []
+
+    def spy(gd, g0, y):
+        def counted(lam):
+            evals.append(lam)
+            return gd(lam)
+        return newton(counted, g0, y)
+
+    monkeypatch.setattr(rcbf_shield.filters, "_newton_root", spy)
+    res = filter_socp(p, a, u0, theta, u_max=u_max)
+    assert 0 < len(evals) <= 20
+    assert res.margin >= 0.0 and np.all(np.abs(res.u) <= u_max)
+    want = _ref_filter(p, a, u0, theta, u_max=u_max)
+    scale = max(1.0, float(np.linalg.norm(u0)), float(np.linalg.norm(res.u)))
+    assert np.linalg.norm(res.u - want) <= 1e-12 * scale
+
+
+def test_newton_root_on_a_smooth_and_a_kinked_g():
+    # arctan(lam - c) flattens away from its root, where Newton overshoots;
+    # the kinked g changes slope by 1e+-3 at its root c
+    def kinked(c, k):
+        return lambda x: (x - c, 1.0) if x < c else (k * (x - c), k)
+
+    for c in (0.5, 3.0, 50.0, 1e3):
+        gs = {"arctan": lambda x, c=c: (math.atan(x - c), 1.0 / (1.0 + (x - c) ** 2)),
+              "kink 1e-3": kinked(c, 1e-3), "kink 1e3": kinked(c, 1e3)}
+        for name, g in gs.items():
+            for y in 10.0 ** np.arange(-3, 5):
+                evals = []
+
+                def gd(lam, g=g):
+                    evals.append(lam)
+                    return g(lam)
+
+                root = rcbf_shield.filters._newton_root(gd, g(0.0)[0], float(y))
+                case = (name, c, y, root, len(evals))
+                assert g(root)[0] >= 0.0 and abs(root - c) <= 1e-12 * c, case
+                assert len(evals) <= 25, case
+
+
 def test_cone_routes_keep_their_argument_errors():
     two, three = np.array([1.0, -2.0]), np.array([1.0, 2.0, 3.0])
     nan, inf = math.nan, math.inf
