@@ -22,10 +22,11 @@ two-dimensional on the ball route without a box (`_ball_root`), a search
 over the sorted kinks of a piecewise-linear margin on the split route
 (`_split_root`), and Newton on the margin's closed-form slope under a box
 (`_boxed_ball_root`), where each evaluation is O(1) on the set of clamped
-channels but for one pass that tests the set.  Both ball searches run
-`_newton_root`: Newton steps, kept in a root bracket by doubling, the
-Illinois secant and bisection, up to the first point with g >= 0 whose
-own step is converged.  Every route runs on plain floats, and the margin
+channels but for one pass that tests the set, and a stretch where g is
+flat ends in one step.  Both ball searches run `_newton_root`: Newton
+steps, kept in a root bracket by doubling, the Illinois secant and
+bisection, up to the first point with g >= 0 whose own step is
+converged.  Every route runs on plain floats, and the margin
 has one definition, `robust_margin` or `channel_margin` on floats (sums
 from +0.0, norms by hypot): a cone route stops at the first u whose
 margin is >= 0 and reports it as the certificate.  Numpy's `a @ u` and
@@ -472,11 +473,14 @@ def _boxed_ball_root(p: float, al: list, ul: list, theta: float, norm_a: float, 
 
     With n = ||u||, differentiating n * (1 - s) = lam * kappa * s and
     g = p + a_C @ u_C + s * a_F @ v_F - kappa * n gives g's slope in closed
-    form, for `_newton_root` from the first point -g0 / ||a||^2.  Where no
-    free channel moves (a_F = 0, and F = 0 or kappa = 0), g is flat until a
-    clamped channel frees, and Newton's doubling steps past that stretch.
-    Each evaluation starts `_segment_root` from the latest evaluation's s,
-    and the prox at the root evaluates g there once more for its s.
+    form, for `_newton_root`.  Where no free channel moves (a_F = 0, and
+    F = 0 or kappa = 0), g is flat until the first clamped channel frees,
+    at a lam in closed form; there the slope reported sends Newton just
+    past that lam, in one step however short the search's lam is beside
+    it.  The first point is -g0 / ||a||^2, or just past a flat start if
+    that is later.  Each evaluation starts `_segment_root` from the latest
+    evaluation's s, and the prox at the root evaluates g there once more
+    for its s.
     """
     kappa = theta * norm_a
     rows = list(zip(ul, al, bl))
@@ -516,6 +520,19 @@ def _boxed_ball_root(p: float, al: list, ul: list, theta: float, norm_a: float, 
             else:
                 fr.append((x, y, b))
         take(cr, fr)
+
+    def flat_end(lam):
+        """Where no free channel moves, a point just past the first lam
+        where a clamped channel frees, c v_i sqrt(C) = ub_i (sqrt(C) +
+        lam kappa); else 0."""
+        if norm_f == 0.0 and (kappa == 0.0 or r == 0.0):
+            rc = math.sqrt(clamped)
+            end = min([rc * (x - b) / (b * kappa - y * rc)
+                       for x, y, b in crows if b * kappa > y * rc], default=math.inf)
+            nxt = max(end, lam) * (1.0 + 2.0 ** -30)
+            if lam < nxt < math.inf:
+                return nxt
+        return 0.0
 
     def gd(lam):
         """g(lam) and its slope; s at lam (0 where u = 0) goes to s0, the
@@ -559,17 +576,21 @@ def _boxed_ball_root(p: float, al: list, ul: list, theta: float, norm_a: float, 
         n = math.sqrt(clamped + s * s * free)  # ||u||
         g = p + (a_c + s * a_v) - kappa * n
         if kappa == 0.0 or n == 0.0:
-            return g, norm_f * norm_f
-        w, e, c = s * a_v / n, s * free / n, 1.0 - s
-        ds = s * (kappa - c * w) / (c * e - n - k)
-        return g, ds * (a_v - kappa * e) + s * (norm_f * norm_f - kappa * w)
+            slope = norm_f * norm_f
+        else:
+            w, e, c = s * a_v / n, s * free / n, 1.0 - s
+            ds = s * (kappa - c * w) / (c * e - n - k)
+            slope = ds * (a_v - kappa * e) + s * (norm_f * norm_f - kappa * w)
+        if slope == 0.0 and g < 0.0 and (nxt := flat_end(lam)):
+            slope = -g / (nxt - lam)  # the step to just past the flat stretch
+        return g, slope
 
     def shrink(lam):
         gd(lam)
         return [max(-b, min(b, s0 * (x + lam * y))) for x, y, b in rows]
 
     clamp(0.0, 1.0)
-    return _newton_root(gd, g0, -g0 / max(norm_a * norm_a, 1e-300)), shrink
+    return _newton_root(gd, g0, max(-g0 / max(norm_a * norm_a, 1e-300), flat_end(0.0))), shrink
 
 
 def ball_program(p: float, a: np.ndarray, u0: np.ndarray, theta: float,

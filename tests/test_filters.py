@@ -1040,6 +1040,17 @@ def test_boxed_ball_route_solves_a_failing_margin_near_underflow():
         assert res.u[0] == res.u[1] and 0.0 < res.u[0] <= 1e-299
 
 
+def test_boxed_ball_route_steps_past_a_flat_start_on_a_tiny_failing_margin():
+    # Both channels start clamped and g = p stays flat up to lam = 1, where
+    # the first one frees; the root lies just past it.  The first point
+    # -p / ||a||^2 is ~1e-150 or subnormal, so doubling alone would need
+    # ~500 steps to leave the stretch: the search has to jump to its end
+    for p in (-1e-150, -1e-310):
+        res = filter_socp(p, [1.0, -1.0], [-2.0, -2.0], 0.0, u_max=1.0)
+        assert res.margin >= 0.0 and res.margin == robust_margin(p, [1.0, -1.0], res.u, 0.0)
+        assert np.allclose(res.u, [-1.0, -1.0], rtol=0.0, atol=1e-12)
+
+
 def test_split_route_lands_on_a_kink_beside_a_flat_stretch():
     # p puts the root of g on a kink k, so u(k) is the exact answer.  Where
     # no channel moves on one side of k, g stays 0 there and the sign of
