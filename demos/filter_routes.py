@@ -16,6 +16,7 @@ from rcbf_shield.filters import (
     filter_socp,
     robust_margin,
 )
+from rcbf_shield.sectors import per_channel_worst_case
 
 
 def show(tag, res):
@@ -41,7 +42,8 @@ def main():
     theta_vec = np.array([0.4, 0.1])
     res = filter_qp_channels(p, a, u0, theta_vec)
     show("split", res)
-    print(f"  per-channel worst case w* = {np.round(res.w_star, 9)}")
+    w_star = per_channel_worst_case(res.u, a, theta_vec)
+    print(f"  per-channel worst case w* = {np.round(w_star, 9)}")
 
     # same instance at the common level: the coupled ball is more cautious
     # than the per-channel boxes whenever several channels act at once

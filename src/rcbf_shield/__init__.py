@@ -38,7 +38,7 @@ from .sim import (
     trajectory_metrics,
 )
 from .vehicle import lateral_dynamics, obstacle_barrier, lqr_controller
-from .config import ConfigError, load_scenario, parse_config, scenario_presets
+from .config import ConfigError, load_scenario, scenario_presets
 from .verify import run_checks
 
 __version__ = "0.1.0"
@@ -81,7 +81,6 @@ __all__ = [
     "scenario_presets",
     "ConfigError",
     "load_scenario",
-    "parse_config",
     "run_checks",
     "__version__",
 ]

@@ -36,7 +36,6 @@ __all__ = [
     "linear_class_k",
     "pole_gains",
     "gradient",
-    "lie_f",
     "StateValues",
     "barrier_terms",
     "input_direction_defect",
@@ -136,12 +135,6 @@ def gradient(barrier: Barrier, x) -> np.ndarray:
     if barrier.grad is not None:
         return np.asarray(barrier.grad(x), dtype=float)
     return _numeric_gradient(barrier.h, x)
-
-
-def lie_f(barrier: Barrier, dyn: Dynamics, x) -> float:
-    """Drift derivative L_f h(x) = grad_h(x) @ f(x)."""
-    x = np.asarray(x, dtype=float)
-    return float(gradient(barrier, x) @ dyn.f(x))
 
 
 def input_direction_defect(barrier: Barrier, dyn: Dynamics, x) -> float:

@@ -49,7 +49,7 @@ from .vehicle import (
     obstacle_barrier,
 )
 
-__all__ = ["ConfigError", "PRESETS", "parse_config", "load_scenario", "scenario_presets"]
+__all__ = ["ConfigError", "PRESETS", "load_scenario", "scenario_presets"]
 
 
 class ConfigError(ValueError):
@@ -197,9 +197,11 @@ def _build_scenario(values: dict, name: str) -> Scenario:
     _require(len(x0) == 5, f"simulation.x0 expects 5 values, got {len(x0)}")
     sweep = v["simulation.sweep_thetas"]
     if sweep is not None:
-        for th in sweep:
+        for i, th in enumerate(sweep):
             _require(in_level_range(th),
                      f"simulation.sweep_thetas entries must lie in [0, 1), got {th}")
+            # a level run twice would write its csv and summary row twice
+            _require(th not in sweep[:i], f"simulation.sweep_thetas repeats the level {th}")
     try:
         return Scenario(
             dynamics=lateral_dynamics(params), barrier=barrier, uncertainty=unc,
@@ -250,11 +252,6 @@ def _read(path: str) -> tuple[dict, str]:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     name = os.path.splitext(os.path.basename(path))[0]
     return _parse_text(text, origin=path), name or "scenario"
-
-
-def parse_config(path: str) -> Scenario:
-    """Parse a scenario file; the scenario is named after the file stem."""
-    return _build_scenario(*_read(path))
 
 
 def load_scenario(ref: str, overrides: Optional[dict] = None) -> Scenario:

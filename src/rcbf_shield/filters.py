@@ -32,10 +32,11 @@ from +0.0, norms by hypot): a cone route stops at the first u whose
 margin is >= 0 and reports it as the certificate.  Numpy's `a @ u` and
 norms may read it below 0, by at most 2 (m + 2) 2^-53 T,
 T = |p| + sum_i |a_i u_i| + the penalty term (the two evaluations'
-summed error bounds).  No filter runs the interior-point solver: it is
-the self-checks' oracle, on the paper's min-norm programs in SOCP form,
-minimize t s.t. ||u - u0|| <= t (`ball_program`, via `ball_oracle`, and
-`split_program`).
+summed error bounds).  A filter returns u, that margin and whether u
+moved; the worst-case w* at u is `sectors.worst_case_input` (or
+`per_channel_worst_case`).  No filter runs the interior-point solver: it
+is the self-checks' oracle, on the paper's min-norm programs in SOCP
+form (`verify.ball_program` and `verify.split_program`).
 
 Optionally a symmetric box |u_i| <= u_max_i restricts the input set;
 infeasibility against the box is raised as an error, never relaxed.
@@ -52,10 +53,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-# worst_case_input is no route's any more; it stays a module attribute,
-# which the traced benchmark wraps
+# no filter calls worst_case_input or solve_socp; both stay module
+# attributes, which the traced benchmark wraps
 from .sectors import in_level_range, worst_case_input  # noqa: F401
-from .socp import ConeProgram, SocBlock, SocpResult, solve_socp
+from .socp import solve_socp  # noqa: F401
 
 __all__ = [
     "FilterError",
@@ -63,9 +64,6 @@ __all__ = [
     "FilterResult",
     "robust_margin",
     "channel_margin",
-    "ball_program",
-    "ball_oracle",
-    "split_program",
     "filter_scalar",
     "filter_socp",
     "filter_qp_channels",
@@ -96,14 +94,12 @@ class FilterResult:
 
     Attributes:
         u: Safe input, always 1-D.
-        w_star: Worst admissible uncertainty at u (zero vector when theta=0).
         margin: Robust constraint value at u (`robust_margin` or
             `channel_margin`); >= -1e-8 on success, >= 0 on the cone routes.
         altered: Whether u differs from the baseline beyond tolerance.
     """
 
     u: np.ndarray
-    w_star: np.ndarray
     margin: float
     altered: bool
 
@@ -404,8 +400,9 @@ def _newton_root(gd: Callable[[float], tuple[float, float]], g0: float, y: float
     1e-15 closes.  With no upper end yet, a step that does not move up (g
     flat, or a step back) doubles lam instead.  After that, a step that
     leaves the bracket, or one that follows two crossings of the root
-    which did not halve the bracket (Newton cycling about a kink), takes
-    the Illinois secant, or bisection when that leaves the bracket too.
+    which did not halve the bracket (Newton cycling about a kink; the step
+    that closes the bracket is not a crossing), takes the Illinois secant,
+    or bisection when that leaves the bracket too.
     """
     inf = math.inf
     lo, hi = 0.0, inf
@@ -432,7 +429,7 @@ def _newton_root(gd: Callable[[float], tuple[float, float]], g0: float, y: float
         if hi < inf and hi - lo <= 1e-15 * hi:
             return hi
         cycling = crossed and cross and hi - lo > 0.5 * width
-        crossed, width = cross, hi - lo
+        crossed, width = cross and width < inf, hi - lo
         step = -gx / dx if dx > 0.0 else math.nan
         y = x + step
         if y == x:
@@ -593,65 +590,6 @@ def _boxed_ball_root(p: float, al: list, ul: list, theta: float, norm_a: float, 
     return _newton_root(gd, g0, max(-g0 / max(norm_a * norm_a, 1e-300), flat_end(0.0))), shrink
 
 
-def ball_program(p: float, a: np.ndarray, u0: np.ndarray, theta: float,
-                 ub: Optional[np.ndarray] = None) -> ConeProgram:
-    """The paper's ball-route cone program over z = (u, t).
-
-    Minimize t s.t. ||u - u0|| <= t, theta*||a||*||u|| <= p + a @ u and the
-    box |u_i| <= ub_i if given: the min-norm problem in its SOCP form, at
-    the scale of u.
-    """
-    m = a.size
-    n = m + 1
-    span = np.eye(m, n)  # z -> u
-    e_t = np.eye(n)[m]
-    blocks = [
-        SocBlock(theta * float(np.linalg.norm(a)) * span, np.zeros(m),
-                 np.concatenate([a, [0.0]]), p),
-        SocBlock(span, -u0, e_t, 0.0),
-    ]
-    if ub is not None:
-        blocks += [SocBlock(np.zeros((0, n)), np.zeros(0), sign * span[i], float(ub[i]))
-                   for i in range(m) for sign in (-1.0, 1.0)]
-    return ConeProgram(c=e_t, blocks=tuple(blocks), n_vars=n)
-
-
-def ball_oracle(p: float, a: np.ndarray, u0: np.ndarray, theta: float,
-                ub: Optional[np.ndarray] = None) -> SocpResult:
-    """The interior-point solver on `ball_program`.  No filter calls it: it
-    is the self-checks' oracle."""
-    return solve_socp(ball_program(p, a, u0, theta, ub))
-
-
-def split_program(p: float, a: np.ndarray, u0: np.ndarray, theta_vec: np.ndarray,
-                  ub: Optional[np.ndarray] = None) -> ConeProgram:
-    """The split route's cone program over z = (u+, u-, t), u = u+ - u-.
-
-    Minimize t s.t. ||(u+ - u0, u- + u0)|| <= t, u+, u- >= 0, the one
-    linear constraint p + (a - theta*|a|) @ u+ - (a + theta*|a|) @ u- >= 0
-    and |u_i| <= ub_i if given.  The norm's square is
-    ||u+||^2 + ||u-||^2 - 2 u0 @ u + 2 ||u0||^2.  Where u+ and u- are
-    complementary, the constraint is the per-channel margin and the square
-    is ||u - u0||^2 + ||u0||^2; and the optimum is complementary, as
-    shrinking both sides of a channel keeps u, keeps or raises the margin
-    and lowers the norm.  So the optimal u is the split route's, and unique.
-    """
-    m = a.size
-    n = 2 * m + 1
-    load = theta_vec * np.abs(a)
-    span = np.hstack([np.eye(m), -np.eye(m), np.zeros((m, 1))])  # z -> u
-    e_t = np.eye(n)[2 * m]
-    blocks = [
-        SocBlock(np.zeros((0, n)), np.zeros(0), np.concatenate([a - load, -a - load, [0.0]]), p),
-        SocBlock(np.eye(2 * m, n), np.concatenate([-u0, u0]), e_t, 0.0),
-    ]
-    blocks += [SocBlock(np.zeros((0, n)), np.zeros(0), row, 0.0) for row in np.eye(n)[:2 * m]]
-    if ub is not None:
-        blocks += [SocBlock(np.zeros((0, n)), np.zeros(0), sign * span[i], float(ub[i]))
-                   for i in range(m) for sign in (-1.0, 1.0)]
-    return ConeProgram(c=e_t, blocks=tuple(blocks), n_vars=n)
-
-
 def filter_scalar(p, a, u0, theta, u_max=None) -> FilterResult:
     """Exact single-channel filter via the feasible interval.
 
@@ -661,11 +599,9 @@ def filter_scalar(p, a, u0, theta, u_max=None) -> FilterResult:
     feasible point is max(u_l, u0); a < 0 mirrors to an upper endpoint.
 
     Past the checks it runs on plain floats.  With |x| = sqrt(x * x), the
-    margin (p + (a*u + 0.0)) - (theta*|u|)*|a| and w* = ((-theta*|u|)*a)/|a|
-    repeat the IEEE operations of `robust_margin` and `worst_case_input` on
-    one channel (the sum runs from +0.0), so every value equals theirs bit
-    for bit.  Where a * a is 0, underflow included, w* is +0.0 (there
-    `worst_case_input` raises).
+    margin (p + (a*u + 0.0)) - (theta*|u|)*|a| repeats the IEEE operations
+    of `robust_margin` on one channel (the sum runs from +0.0), so it
+    equals that bit for bit.
     """
     p, al, ul = _inputs(p, a, u0)
     theta = _scalar_theta(theta)
@@ -698,13 +634,11 @@ def filter_scalar(p, a, u0, theta, u_max=None) -> FilterResult:
                 raise InfeasibleError(
                     f"feasible interval (-inf, {u_h}] lies outside the bound {-bound}")
             u = max(min(uv, min(u_h, bound)), -bound)
-    # +0.0 wherever a * a is 0, underflow included, as sim._adversary_input
-    w_star = 0.0 if norm_a == 0.0 else ((-theta * math.sqrt(u * u)) * av) / norm_a
     value = margin(u)
     if math.isnan(value):  # |a| past ~1e154 or an overflowing a * u
         raise _overflow(p)
     # positional: keywords cost a frozen dataclass another 0.5 us per call
-    return FilterResult(np.array([u]), np.array([w_star]), value, abs(u - uv) > TOL_FEAS)
+    return FilterResult(np.array([u]), value, abs(u - uv) > TOL_FEAS)
 
 
 def filter_socp(p, a, u0, theta, u_max=None) -> FilterResult:
@@ -732,10 +666,7 @@ def filter_socp(p, a, u0, theta, u_max=None) -> FilterResult:
         else:
             lam, shrink = _boxed_ball_root(p, al, ul, theta, norm_a, ub, value)
         ans, value = _dual_root(lam, shrink, margin)
-    coef = -theta * math.hypot(*ans)  # w* = -theta ||u|| a / ||a||, as worst_case_input
-    w_star = [coef * x / norm_a for x in al] if norm_a > 0.0 else [0.0] * len(al)
-    return FilterResult(np.array(ans), np.array(w_star), value,
-                        math.hypot(*map(sub, ans, ul)) > TOL_FEAS)
+    return FilterResult(np.array(ans), value, math.hypot(*map(sub, ans, ul)) > TOL_FEAS)
 
 
 def filter_qp_channels(p, a, u0, theta, u_max=None) -> FilterResult:
@@ -772,10 +703,7 @@ def filter_qp_channels(p, a, u0, theta, u_max=None) -> FilterResult:
 
         lam, kinks = _split_root(al, ul, load, bl, value, shrink, margin)
         ans, value = _dual_root(lam, shrink, margin, kinks)
-    w_star = [-t * abs(x) * (1.0 if y > 0.0 else -1.0 if y < 0.0 else 0.0)
-              for t, x, y in zip(tl, ans, al)]
-    return FilterResult(np.array(ans), np.array(w_star), value,
-                        math.hypot(*map(sub, ans, ul)) > TOL_FEAS)
+    return FilterResult(np.array(ans), value, math.hypot(*map(sub, ans, ul)) > TOL_FEAS)
 
 
 def filter_auto(p, a, u0, theta, u_max=None, mode: str = "auto") -> FilterResult:

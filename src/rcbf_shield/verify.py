@@ -9,21 +9,19 @@ The quick suite trims instance counts to stay under ten seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from .config import load_scenario
 from .filters import (
     InfeasibleError,
-    ball_program,
     channel_margin,
     filter_auto,
     filter_qp_channels,
     filter_scalar,
     filter_socp,
     robust_margin,
-    split_program,
 )
 from .sectors import (
     NormalizedUncertainty,
@@ -32,11 +30,20 @@ from .sectors import (
     worst_case_oracle,
 )
 from .sim import simulate, step_rk4
-from .socp import STATUS_INFEASIBLE, STATUS_OPTIMAL, dump_program, solve_socp
+from .socp import (
+    STATUS_INFEASIBLE,
+    STATUS_OPTIMAL,
+    ConeProgram,
+    SocBlock,
+    dump_program,
+    solve_socp,
+)
 from .vehicle import X0, lateral_dynamics
 
 __all__ = [
     "CheckResult",
+    "ball_program",
+    "split_program",
     "check_worst_case_oracle",
     "check_multiplier_identity",
     "check_route_agreement",
@@ -154,6 +161,58 @@ def _routes(p, a, theta, u0, ub):
         routes += [lambda: filter_scalar(p, a, u0, theta, u_max=ub),
                    lambda: filter_qp_channels(p, a, u0, np.array([theta]), u_max=ub)]
     return routes
+
+
+def ball_program(p: float, a: np.ndarray, u0: np.ndarray, theta: float,
+                 ub: Optional[np.ndarray] = None) -> ConeProgram:
+    """The paper's ball-route cone program over z = (u, t).
+
+    Minimize t s.t. ||u - u0|| <= t, theta*||a||*||u|| <= p + a @ u and the
+    box |u_i| <= ub_i if given: the min-norm problem in its SOCP form, at
+    the scale of u.
+    """
+    m = a.size
+    n = m + 1
+    span = np.eye(m, n)  # z -> u
+    e_t = np.eye(n)[m]
+    blocks = [
+        SocBlock(theta * float(np.linalg.norm(a)) * span, np.zeros(m),
+                 np.concatenate([a, [0.0]]), p),
+        SocBlock(span, -u0, e_t, 0.0),
+    ]
+    if ub is not None:
+        blocks += [SocBlock(np.zeros((0, n)), np.zeros(0), sign * span[i], float(ub[i]))
+                   for i in range(m) for sign in (-1.0, 1.0)]
+    return ConeProgram(c=e_t, blocks=tuple(blocks), n_vars=n)
+
+
+def split_program(p: float, a: np.ndarray, u0: np.ndarray, theta_vec: np.ndarray,
+                  ub: Optional[np.ndarray] = None) -> ConeProgram:
+    """The split route's cone program over z = (u+, u-, t), u = u+ - u-.
+
+    Minimize t s.t. ||(u+ - u0, u- + u0)|| <= t, u+, u- >= 0, the one
+    linear constraint p + (a - theta*|a|) @ u+ - (a + theta*|a|) @ u- >= 0
+    and |u_i| <= ub_i if given.  The norm's square is
+    ||u+||^2 + ||u-||^2 - 2 u0 @ u + 2 ||u0||^2.  Where u+ and u- are
+    complementary, the constraint is the per-channel margin and the square
+    is ||u - u0||^2 + ||u0||^2; and the optimum is complementary, as
+    shrinking both sides of a channel keeps u, keeps or raises the margin
+    and lowers the norm.  So the optimal u is the split route's, and unique.
+    """
+    m = a.size
+    n = 2 * m + 1
+    load = theta_vec * np.abs(a)
+    span = np.hstack([np.eye(m), -np.eye(m), np.zeros((m, 1))])  # z -> u
+    e_t = np.eye(n)[2 * m]
+    blocks = [
+        SocBlock(np.zeros((0, n)), np.zeros(0), np.concatenate([a - load, -a - load, [0.0]]), p),
+        SocBlock(np.eye(2 * m, n), np.concatenate([-u0, u0]), e_t, 0.0),
+    ]
+    blocks += [SocBlock(np.zeros((0, n)), np.zeros(0), row, 0.0) for row in np.eye(n)[:2 * m]]
+    if ub is not None:
+        blocks += [SocBlock(np.zeros((0, n)), np.zeros(0), sign * span[i], float(ub[i]))
+                   for i in range(m) for sign in (-1.0, 1.0)]
+    return ConeProgram(c=e_t, blocks=tuple(blocks), n_vars=n)
 
 
 def _oracle(p, a, u0, theta, ub) -> tuple:
@@ -345,7 +404,7 @@ def check_wide_scale_stress(n_instances: int = 200) -> CheckResult:
 
     n_instances unboxed ones alternate the split and ball routes;
     n_instances // 2 more take the ball route under a box.  Every answer
-    must have margin >= 0 exactly and lie in the box, every solver run on
+    must have float margin >= 0.0 and lie in the box, every solver run on
     its program (see `_oracle`) must end optimal, and the answer must lie
     within 1e-6 max(1, ||u0||, ||u||) of the solver's u.
     """

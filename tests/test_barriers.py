@@ -11,7 +11,6 @@ from rcbf_shield.barriers import (
     barrier_terms,
     gradient,
     input_direction_defect,
-    lie_f,
     linear_class_k,
     pole_gains,
 )
@@ -76,11 +75,10 @@ def test_numeric_gradient_matches_analytic():
     assert g == pytest.approx([2.6, -3.0], rel=1e-6)
 
 
-def test_lie_f_and_defect():
+def test_input_direction_defect():
     dyn = _double_integrator()
     bar = Barrier(h=lambda x: 1.0 - x[0], degree=1,
                   grad=lambda x: np.array([-1.0, 0.0]))
-    assert lie_f(bar, dyn, np.array([0.0, 2.0])) == pytest.approx(-2.0)
     assert input_direction_defect(bar, dyn, np.zeros(2)) == pytest.approx(0.0, abs=1e-12)
 
 

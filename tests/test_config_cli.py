@@ -10,7 +10,7 @@ import pytest
 
 import rcbf_shield.cli
 from rcbf_shield.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
-from rcbf_shield.config import ConfigError, load_scenario, parse_config, scenario_presets
+from rcbf_shield.config import ConfigError, load_scenario, scenario_presets
 from rcbf_shield.filters import FilterError
 from rcbf_shield.output import CSV_HEADER, trajectory_csv_text
 from rcbf_shield.sectors import NormalizedUncertainty
@@ -25,7 +25,7 @@ def _write(tmp_path, text, name="case.cfg"):
 
 
 def test_empty_config_is_the_default_study(tmp_path):
-    sc = parse_config(_write(tmp_path, "# nothing but a comment\n"))
+    sc = load_scenario(_write(tmp_path, "# nothing but a comment\n"))
     assert sc.uncertainty.theta == 0.5
     assert sc.dt == 1e-3 and sc.horizon == 2.0
     assert sc.adversary.kind == "worst_case"
@@ -36,42 +36,45 @@ def test_empty_config_is_the_default_study(tmp_path):
 def test_unknown_section_names_line(tmp_path):
     path = _write(tmp_path, "\n[plant]\nmass = 1\n")
     with pytest.raises(ConfigError, match=r"line 2.*\[plant\]"):
-        parse_config(path)
+        load_scenario(path)
 
 
 def test_unknown_key_names_section_and_line(tmp_path):
     path = _write(tmp_path, "[system]\nweight = 3\n")
     with pytest.raises(ConfigError, match="line 2.*system.weight"):
-        parse_config(path)
+        load_scenario(path)
 
 
 def test_repeated_key_rejected(tmp_path):
     path = _write(tmp_path, "[barrier]\nradius = 3\nradius = 4\n")
     with pytest.raises(ConfigError, match="line 3.*repeated.*barrier.radius"):
-        parse_config(path)
+        load_scenario(path)
 
 
 def test_bad_value_kind_rejected(tmp_path):
     path = _write(tmp_path, "[simulation]\ndt = soon\n")
     with pytest.raises(ConfigError, match="line 2.*expects float"):
-        parse_config(path)
+        load_scenario(path)
 
 
 def test_key_outside_section_rejected(tmp_path):
     path = _write(tmp_path, "dt = 0.001\n")
     with pytest.raises(ConfigError, match="line 1"):
-        parse_config(path)
+        load_scenario(path)
 
 
 def test_range_checks_name_the_key(tmp_path):
     with pytest.raises(ConfigError, match="design_theta"):
-        parse_config(_write(tmp_path, "[uncertainty]\ndesign_theta = 1.5\n"))
+        load_scenario(_write(tmp_path, "[uncertainty]\ndesign_theta = 1.5\n"))
     with pytest.raises(ConfigError, match="u_max"):
-        parse_config(_write(tmp_path, "[controller]\nu_max = -2\n"))
+        load_scenario(_write(tmp_path, "[controller]\nu_max = -2\n"))
     with pytest.raises(ConfigError, match="x0"):
-        parse_config(_write(tmp_path, "[simulation]\nx0 = 1,2\n"))
+        load_scenario(_write(tmp_path, "[simulation]\nx0 = 1,2\n"))
     with pytest.raises(ConfigError, match="adversary"):
-        parse_config(_write(tmp_path, "[simulation]\nadversary = chaos\n"))
+        load_scenario(_write(tmp_path, "[simulation]\nadversary = chaos\n"))
+    # a level run twice would rewrite its csv and repeat its summary row
+    with pytest.raises(ConfigError, match=r"^simulation\.sweep_thetas repeats the level 0\.2$"):
+        load_scenario(_write(tmp_path, "[simulation]\nsweep_thetas = 0.2, 0.4, 0.2\n"))
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -81,15 +84,15 @@ def test_a_box_bound_the_filters_reject_is_named_by_its_key(tmp_path, capsys, va
     path = _write(tmp_path, f"[controller]\nu_max = {value}\n")
     with pytest.raises(ConfigError, match=r"^controller\.u_max: box bounds must be "
                                           r"positive and finite"):
-        parse_config(path)
+        load_scenario(path)
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "run")]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: controller.u_max: ")
 
 
 def test_saturation_adversary_needs_its_parameters(tmp_path):
     with pytest.raises(ConfigError, match="sat_level"):
-        parse_config(_write(tmp_path, "[simulation]\nadversary = saturation\n"))
-    sc = parse_config(_write(
+        load_scenario(_write(tmp_path, "[simulation]\nadversary = saturation\n"))
+    sc = load_scenario(_write(
         tmp_path,
         "[simulation]\nadversary = saturation\nsat_level = 20\nsat_range = 40\n"))
     assert sc.adversary.kind == "scripted"
@@ -97,10 +100,10 @@ def test_saturation_adversary_needs_its_parameters(tmp_path):
 
 
 def test_gain_sweep_and_random_adversaries(tmp_path):
-    sc = parse_config(_write(
+    sc = load_scenario(_write(
         tmp_path, "[simulation]\nadversary = gain_sweep\ngain_freq = 5\n"))
     assert sc.adversary.scripted.kind == "time_varying_gain"
-    sc = parse_config(_write(tmp_path, "[simulation]\nadversary = random\nseed = 9\n"))
+    sc = load_scenario(_write(tmp_path, "[simulation]\nadversary = random\nseed = 9\n"))
     assert sc.adversary.scripted.kind == "random_in_sector"
     assert sc.adversary.scripted.seed == 9
 

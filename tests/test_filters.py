@@ -13,14 +13,12 @@ import rcbf_shield.verify
 from rcbf_shield.filters import (
     FilterError,
     InfeasibleError,
-    ball_oracle,
     channel_margin,
     filter_auto,
     filter_qp_channels,
     filter_scalar,
     filter_socp,
     robust_margin,
-    split_program,
 )
 from rcbf_shield.sectors import worst_case_input
 from rcbf_shield.socp import solve_socp
@@ -29,7 +27,9 @@ from rcbf_shield.verify import (
     _split_agreement_instances,
     _wide_scale_boxed_instances,
     _wide_scale_instances,
+    ball_program,
     check_wide_scale_stress,
+    split_program,
 )
 
 
@@ -56,7 +56,7 @@ def test_scalar_route_frozen_instance():
     res = filter_scalar(-1.0, np.array([1.0]), np.array([0.0]), 0.5)
     assert res.u[0] == pytest.approx(2.0, abs=1e-12)
     assert res.margin == pytest.approx(0.0, abs=1e-12)
-    assert res.w_star[0] == pytest.approx(-1.0)  # -theta*|u|*sign(a)
+    assert worst_case_input(res.u, [1.0], 0.5)[0] == pytest.approx(-1.0)  # -theta*|u|*sign(a)
 
 
 def test_scalar_route_negative_direction():
@@ -123,7 +123,7 @@ def test_margin_soundness_random():
         res = filter_auto(p, a, u0, theta)
         assert res.margin >= -1e-8
         # margin is attained by w*: realization at w* equals the margin
-        realized = p + float(a @ (res.u + res.w_star))
+        realized = p + float(a @ (res.u + worst_case_input(res.u, a, theta)))
         assert realized == pytest.approx(res.margin, abs=1e-9)
 
 
@@ -151,7 +151,7 @@ def test_epigraph_identity_on_solved_instances():
         theta = float(rng.uniform(0.0, 0.8))
         # the oracle's epigraph is tight at its optimum, t = ||u - u0||, and
         # its u is the ball route's
-        oracle = ball_oracle(p, a, u0, theta)
+        oracle = solve_socp(ball_program(p, a, u0, theta))
         assert oracle.status == "optimal"
         u, t = oracle.z[:-1], float(oracle.z[-1])
         assert t == pytest.approx(float(np.linalg.norm(u - u0)), abs=1e-6)
@@ -325,7 +325,7 @@ def test_boxed_ball_route_frozen_and_against_oracle(case):
     res = filter_auto(p, a, u0, theta, u_max=u_max, mode="socp")
     assert res.margin >= 0.0 and np.all(np.abs(res.u) <= u_max)
     assert res.u == pytest.approx(expected, rel=1e-12, abs=1e-15)
-    oracle = ball_oracle(p, a, u0, theta, u_max)
+    oracle = solve_socp(ball_program(p, a, u0, theta, u_max))
     assert oracle.status == "optimal"
     assert np.abs(res.u - oracle.z[:-1]).max() <= 1e-6
 
@@ -373,7 +373,7 @@ def test_boxed_ball_route_decides_infeasibility_as_the_oracle():
         theta = float(rng.uniform(0.0, 0.8))
         u_max = rng.uniform(0.3, 1.5, size=m)
         p = float(rng.normal() * 1.5)
-        oracle = ball_oracle(p, a, u0, theta, u_max)
+        oracle = solve_socp(ball_program(p, a, u0, theta, u_max))
         try:
             res = filter_socp(p, a, u0, theta, u_max=u_max)
         except InfeasibleError:
@@ -443,7 +443,7 @@ def _bits(x) -> bytes:
 
 def _scalar_reference(p, a, u0, theta, u_max=None):
     """The interval route on one-element arrays, its certificate from
-    `robust_margin` and `worst_case_input`: (u, margin, w_star)."""
+    `robust_margin`: (u, margin)."""
     a, u0 = np.array([a]), np.array([u0])
     u = u0.copy() if u_max is None else np.clip(u0, -u_max, u_max)
     if not robust_margin(p, a, u, theta) >= 0.0:
@@ -468,8 +468,7 @@ def _scalar_reference(p, a, u0, theta, u_max=None):
                 raise InfeasibleError(
                     f"feasible interval (-inf, {u_h}] lies outside the bound {lo}")
             u = np.array([max(min(uv, u_h if u_max is None else min(u_h, u_max)), lo)])
-    w = worst_case_input(u, a, theta) if a[0] != 0.0 else np.zeros(1)
-    return float(u[0]), robust_margin(p, a, u, theta), float(w[0])
+    return float(u[0]), robust_margin(p, a, u, theta)
 
 
 def _scalar_corpus(n=3000, seed=20211):
@@ -510,8 +509,8 @@ def test_scalar_route_is_bit_exact_against_the_array_certificate():
             seen["degenerate" if err.degenerate else "outside the bound"] += 1
             continue
         res = filter_scalar(p, np.array([a]), np.array([u0]), theta, u_max=u_max)
-        assert res.u.shape == res.w_star.shape == (1,)
-        got = (res.u[0], res.margin, res.w_star[0])
+        assert res.u.shape == (1,)
+        got = (res.u[0], res.margin)
         assert [_bits(v) for v in got] == [_bits(v) for v in want], (p, a, u0, theta, u_max)
         assert res.altered == (abs(want[0] - u0) > 1e-8)
         seen["interval" if res.altered else "unaltered"] += 1
@@ -928,14 +927,22 @@ def test_boxed_ball_search_matches_the_reference(monkeypatch):
 
 
 def test_boxed_ball_search_breaks_a_newton_cycle(monkeypatch):
-    # instance 1003 of the seed-7919 boxed_filters corpus: Newton cycles
-    # about a kink of g where the clamped set changes, and the search
-    # takes 66 evaluations with the cycling test switched off
-    p, theta, u_max = -0.17189336222366555, 0.6255042944053705, 0.9603123914633849
-    a = np.array([-0.07408994557951523, -0.41395342767488236, 0.1072497587953909,
-                  -0.16568163646488399, 0.13505119489363598])
-    u0 = np.array([1.0220116286237013, 2.2430249995243456, 0.9067805957219265,
-                   1.7389815367543844, -1.2309949454956683])
+    cases = [
+        # instance 1003 of the seed-7919 boxed_filters corpus: Newton cycles
+        # about a kink of g where the clamped set changes, and the search
+        # takes 66 evaluations with the cycling test switched off
+        (-0.17189336222366555,
+         [-0.07408994557951523, -0.41395342767488236, 0.1072497587953909,
+          -0.16568163646488399, 0.13505119489363598],
+         [1.0220116286237013, 2.2430249995243456, 0.9067805957219265,
+          1.7389815367543844, -1.2309949454956683],
+         0.6255042944053705, 0.9603123914633849),
+        # route-agreement instance 691, unboxed: the root lies within an ulp
+        # above the bracket's lower end, and the search took 53 evaluations
+        # while the doubling that closed the bracket counted as a crossing
+        (-0.38502981718345897, [-3.7499933402935226], [5.9360892251070005],
+         0.32336698044573564, None),
+    ]
     newton, evals = rcbf_shield.filters._newton_root, []
 
     def spy(gd, g0, y):
@@ -945,12 +952,15 @@ def test_boxed_ball_search_breaks_a_newton_cycle(monkeypatch):
         return newton(counted, g0, y)
 
     monkeypatch.setattr(rcbf_shield.filters, "_newton_root", spy)
-    res = filter_socp(p, a, u0, theta, u_max=u_max)
-    assert 0 < len(evals) <= 20
-    assert res.margin >= 0.0 and np.all(np.abs(res.u) <= u_max)
-    want = _ref_filter(p, a, u0, theta, u_max=u_max)
-    scale = max(1.0, float(np.linalg.norm(u0)), float(np.linalg.norm(res.u)))
-    assert np.linalg.norm(res.u - want) <= 1e-12 * scale
+    for p, a, u0, theta, u_max in cases:
+        a, u0 = np.array(a), np.array(u0)
+        evals.clear()
+        res = filter_socp(p, a, u0, theta, u_max=u_max)
+        assert 0 < len(evals) <= 20, (p, len(evals))
+        assert res.margin >= 0.0 and (u_max is None or np.all(np.abs(res.u) <= u_max))
+        want = _ref_filter(p, a, u0, theta, u_max=u_max)
+        scale = max(1.0, float(np.linalg.norm(u0)), float(np.linalg.norm(res.u)))
+        assert np.linalg.norm(res.u - want) <= 1e-12 * scale
 
 
 def test_newton_root_on_a_smooth_and_a_kinked_g():
@@ -1019,7 +1029,6 @@ def test_ball_route_survives_an_underflowing_a_dot_a():
     # a @ a underflows to 0 below |a| ~ 1e-162; ||a|| is taken with hypot
     res = filter_socp(1.0, [1e-170, 0.0], [1.0, 0.0], 0.5)
     assert np.array_equal(res.u, [1.0, 0.0]) and not res.altered
-    assert np.all(np.isfinite(res.w_star)) and res.w_star[0] < 0.0
     for p, u0, u_max in ((-1e-300, [-1.0, 0.0], None), (-1e-300, [0.0, 0.0], None),
                          (-1e-300, [-1.0, 2.0], 1.0), (-1e-300, [0.0, 0.0], 1.0),
                          (-1.0, [0.0, 0.0], None), (-1.0, [0.0, 0.0], 1.0)):
@@ -1028,7 +1037,6 @@ def test_ball_route_survives_an_underflowing_a_dot_a():
         except InfeasibleError:
             continue
         assert res.margin >= 0.0 and res.margin == robust_margin(p, [1e-170, 0.0], res.u, 0.5)
-        assert np.all(np.isfinite(res.w_star))
 
 
 def test_boxed_ball_route_solves_a_failing_margin_near_underflow():
