@@ -21,7 +21,7 @@ import sys
 from dataclasses import replace
 from typing import Optional
 
-from .config import ConfigError, load_scenario
+from .config import ConfigError, level_tag, load_scenario
 from .filters import FilterError
 from .output import (
     metrics_text,
@@ -161,7 +161,7 @@ def cmd_sweep(args) -> int:
         run = replace(
             sc,
             uncertainty=NormalizedUncertainty(theta=theta, scale=sc.uncertainty.scale),
-            name=f"{sc.name}_theta{theta:g}", sweep_thetas=None)
+            name=f"{sc.name}_theta{level_tag(theta)}", sweep_thetas=None)
         traj = simulate(run)
         metrics = trajectory_metrics(traj, run.barrier)
         infeasible_steps += metrics["steps_infeasible"]

@@ -148,6 +148,11 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
+def level_tag(theta: float) -> str:
+    """A sweep level as its run and csv name show it (`cli.cmd_sweep`)."""
+    return f"{theta:g}"
+
+
 def _build_scenario(values: dict, name: str) -> Scenario:
     """The Scenario of `values` ({"section.key": value}) over the defaults."""
     v = {**_DEFAULTS, **values}
@@ -197,11 +202,14 @@ def _build_scenario(values: dict, name: str) -> Scenario:
     _require(len(x0) == 5, f"simulation.x0 expects 5 values, got {len(x0)}")
     sweep = v["simulation.sweep_thetas"]
     if sweep is not None:
-        for i, th in enumerate(sweep):
+        tags = []
+        for th in sweep:
             _require(in_level_range(th),
                      f"simulation.sweep_thetas entries must lie in [0, 1), got {th}")
-            # a level run twice would write its csv and summary row twice
-            _require(th not in sweep[:i], f"simulation.sweep_thetas repeats the level {th}")
+            # two levels with one tag would write one csv and two summary rows
+            tags.append(level_tag(th))
+            _require(tags[-1] not in tags[:-1],
+                     f"simulation.sweep_thetas repeats the level {tags[-1]}")
     try:
         return Scenario(
             dynamics=lateral_dynamics(params), barrier=barrier, uncertainty=unc,

@@ -17,19 +17,21 @@ p + a @ u - sum_i theta_i |a_i| |u_i| >= 0.  All routes first try the
 baseline: when its projection onto the input box (u0 without a box)
 meets the constraint, it is the answer.  Otherwise the cone routes take
 the exact dual root (see `_dual_root`), with or without a box: a 1-D
-monotone search in the constraint's multiplier over a closed-form prox,
-two-dimensional on the ball route without a box (`_ball_root`), a search
-over the sorted kinks of a piecewise-linear margin on the split route
-(`_split_root`), and Newton on the margin's closed-form slope under a box
-(`_boxed_ball_root`), where each evaluation is O(1) on the set of clamped
-channels but for one pass that tests the set, and a stretch where g is
-flat ends in one step.  Both ball searches run `_newton_root`: Newton
-steps, kept in a root bracket by doubling, the Illinois secant and
-bisection, up to the first point with g >= 0 whose own step is
-converged.  Every route runs on plain floats, and the margin
+monotone search in the constraint's multiplier over a closed-form prox.
+Every cone route searches with `_newton_root` on the margin's
+closed-form slope: Newton steps, kept in a root bracket by doubling,
+the Illinois secant and bisection, up to the first point with g >= 0
+whose own step is converged.  Each evaluation is O(1) on the ball route
+without a box, in two coordinates (`_ball_root`); O(1) on the set of
+clamped channels but for one pass that tests the set under a box, where
+a stretch with g flat ends in one step (`_boxed_ball_root`); and one
+soft-thresholding pass with the margin itself on the split route
+(`filter_qp_channels`).  Every route runs on plain floats, and the margin
 has one definition, `robust_margin` or `channel_margin` on floats (sums
-from +0.0, norms by hypot): a cone route stops at the first u whose
-margin is >= 0 and reports it as the certificate.  Numpy's `a @ u` and
+from +0.0, norms by hypot, which is |x| on one channel): a cone route
+stops at the first u whose margin is >= 0 and reports it as the
+certificate.  A NaN or -inf margin at the baseline, where products of
+the data overflow, raises FilterError.  Numpy's `a @ u` and
 norms may read it below 0, by at most 2 (m + 2) 2^-53 T,
 T = |p| + sum_i |a_i u_i| + the penalty term (the two evaluations'
 summed error bounds).  A filter returns u, that margin and whether u
@@ -45,7 +47,6 @@ infeasibility against the box is raised as an error, never relaxed.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 from operator import mul, sub
@@ -109,7 +110,7 @@ def robust_margin(p: float, a, u, theta: float) -> float:
     floats (see the module docstring); a ValueError unless a and u are
     vectors of one length."""
     al, ul = _vectors(a, u)
-    return float(_ball_margin(p, al, theta, _norm(al), ul))
+    return float(_ball_margin(p, al, theta, math.hypot(*al), ul))
 
 
 def channel_margin(p: float, a, u, theta_vec) -> float:
@@ -126,14 +127,9 @@ def _dot(x, y) -> float:
     return sum(map(mul, x, y))
 
 
-def _norm(x: list) -> float:
-    """||x|| by hypot, which does not underflow; sqrt(x * x) on one channel."""
-    return math.sqrt(x[0] * x[0]) if len(x) == 1 else math.hypot(*x)
-
-
 def _ball_margin(p: float, al: list, theta: float, norm_a: float, u: list) -> float:
-    """`robust_margin` on lists, norm_a = _norm(al)."""
-    return p + _dot(al, u) - theta * _norm(u) * norm_a
+    """`robust_margin` on lists, norm_a = ||a||."""
+    return p + _dot(al, u) - theta * math.hypot(*u) * norm_a
 
 
 def _split_margin(p: float, al: list, load: list, u: list) -> float:
@@ -189,8 +185,10 @@ def _clip(u: list, ub: list) -> list:
 
 
 def _overflow(p: float) -> FilterError:
-    """The error for a margin that came out NaN, which certifies nothing."""
-    return FilterError(f"robust margin is NaN: the constraint data overflow (p={p})")
+    """The error for a margin that came out NaN or -inf, which certifies
+    nothing: the margin of finite data is finite in exact arithmetic."""
+    return FilterError(f"robust margin is NaN or -inf: a product of the constraint data "
+                       f"overflows (p={p})")
 
 
 def _try_baseline(u: list, al: list, p: float, margin: Callable[[list], float]
@@ -199,11 +197,11 @@ def _try_baseline(u: list, al: list, p: float, margin: Callable[[list], float]
     constraint (the answer: the box holds the feasible set), else (None, g0)
     with g0 < 0 its margin, g(0) of the dual root.  With a = 0 no input
     moves the constraint, so it either holds here or cannot be met.  A NaN
-    margin raises FilterError."""
+    or -inf margin raises FilterError."""
     g0 = margin(u)
     if g0 >= 0.0:
         return u, g0
-    if math.isnan(g0):
+    if not g0 > -math.inf:  # NaN included
         raise _overflow(p)
     if not any(al):
         raise InfeasibleError(
@@ -230,8 +228,8 @@ def _box_limit(best: list, g0: float, p: float, margin: Callable[[list], float]
     return best, value
 
 
-def _dual_root(lam: float, shrink: Callable[[float], list], margin: Callable[[list], float],
-               kinks: list = ()) -> tuple[list, float]:
+def _dual_root(lam: float, shrink: Callable[[float], list], margin: Callable[[list], float]
+               ) -> tuple[list, float]:
     """The answer of a cone route whose box-projected baseline fails, from
     a root lam of its dual: u and its margin >= 0.
 
@@ -239,30 +237,22 @@ def _dual_root(lam: float, shrink: Callable[[float], list], margin: Callable[[li
     u0 + lam * a, minimizes ||u - u0||^2 / 2 - lam * margin(u) over the
     input set, so g(lam) = margin(u(lam)), minus the derivative of the
     concave dual, is continuous and nondecreasing.  The routes search its
-    root on plain floats from g(0), the failing baseline's margin
-    (`_ball_root`, `_split_root`, `_boxed_ball_root`).  From there lam
-    steps up by a doubling ulp step until the margin of u is >= 0: the
-    certificate of u and its reported margin.  When a step leaves u as it
-    was and no channel moves until the next of the route's sorted `kinks`
-    (g is flat there and the sign of its rounding arbitrary), lam jumps to
-    that kink, where u moves again, rather than doubling its way past it.
+    root on plain floats from g(0), the failing baseline's margin, with
+    `_newton_root` (`_ball_root`, `_boxed_ball_root`, and the split
+    route's own g in `filter_qp_channels`).  From there lam steps up by a
+    doubling ulp step until the margin of u is >= 0: the certificate of u
+    and its reported margin.  On the split route g is that margin, so the
+    root already certifies.
     """
-    step, last = math.ulp(lam), None
+    step = math.ulp(lam)
     while True:
         u = shrink(lam)
         value = margin(u)
         if value >= 0.0:
             return u, value
-        if u == last:
-            i = bisect_right(kinks, lam)
-            if i < len(kinks) and shrink(0.5 * (lam + kinks[i])) == u:
-                # u is piecewise linear in lam: the same u at the midpoint
-                # means no channel moves before the next kink
-                lam, step, last = kinks[i], math.ulp(kinks[i]), None
-                continue
         if not lam <= 1e300:  # NaN included, which no step moves
             raise InfeasibleError("no multiplier meets the robust constraint")
-        last, lam, step = u, lam + step, 2.0 * step
+        lam, step = lam + step, 2.0 * step
 
 
 def _ball_root(p: float, al: list, ul: list, theta: float, norm_a: float,
@@ -298,51 +288,6 @@ def _ball_root(p: float, al: list, ul: list, theta: float, norm_a: float,
         return [x * c for x in v]
 
     return _newton_root(gd, g0, -g0 / max(norm_a * norm_a, 1e-300)), shrink
-
-
-def _split_root(al: list, ul: list, load: list, bl: list, g0: float,
-                shrink: Callable[[float], list], margin: Callable[[list], float]
-                ) -> tuple[float, list]:
-    """Dual root lam of the split route, g(lam) the margin of its prox, and
-    the sorted kinks of g.
-
-    Channel i adds d * clip(u0_i + lam * d, lo, hi) to g twice: for its
-    positive part (d = a_i - theta_i |a_i|, [lo, hi] = [0, ub_i]) and its
-    negative part (d = a_i + theta_i |a_i|, [-ub_i, 0]).  So g is piecewise
-    linear with kinks where u0_i + lam * d meets an end.  A binary search
-    over the sorted kinks brackets the root by g's values there, and the
-    root is interpolated on that segment, where g is linear.  Past the last
-    kink g has slope sum_i (|a_i| - theta_i |a_i|)^2 without a box.  Under a
-    box it is flat there at the box's best margin, which `_box_limit` has
-    found > 0, so only rounding can leave the root past it: then twice the
-    last kink, where every channel sits at its bound, is returned.  A slope
-    past the float range raises FilterError.
-    """
-    kinks, slope = [], 0.0
-    for x, y, l, b in zip(ul, al, load, bl):
-        if y != 0.0:
-            for d, lo, hi in ((y - l, 0.0, b), (y + l, -b, 0.0)):
-                kinks += [k for k in ((lo - x) / d, (hi - x) / d) if 0.0 < k < math.inf]
-            if b == math.inf:
-                try:  # ** 2, not x * x, which rounds some squares differently
-                    slope += (abs(y) - l) ** 2
-                except OverflowError:
-                    slope = math.inf
-    if slope == math.inf:
-        raise FilterError("the split route's slope overflows: the constraint data are "
-                          "past the float range")
-    kinks.sort()
-    lo, glo, hi, ghi = 0.0, g0, None, None
-    i, j = 0, len(kinks)
-    while i < j:
-        mid = (i + j) // 2
-        if (gm := margin(shrink(kinks[mid]))) >= 0.0:
-            j, hi, ghi = mid, kinks[mid], gm
-        else:
-            i, lo, glo = mid + 1, kinks[mid], gm
-    if hi is None:
-        return (lo - glo / slope if slope > 0.0 else 2.0 * lo), kinks
-    return lo + (hi - lo) * (-glo / (ghi - glo)), kinks
 
 
 def _box_reach(a: list, ub: list, kappa: float) -> float:
@@ -598,10 +543,10 @@ def filter_scalar(p, a, u0, theta, u_max=None) -> FilterResult:
     piecewise-linear constraint on either side of u = 0), so the closest
     feasible point is max(u_l, u0); a < 0 mirrors to an upper endpoint.
 
-    Past the checks it runs on plain floats.  With |x| = sqrt(x * x), the
-    margin (p + (a*u + 0.0)) - (theta*|u|)*|a| repeats the IEEE operations
-    of `robust_margin` on one channel (the sum runs from +0.0), so it
-    equals that bit for bit.
+    Past the checks it runs on plain floats.  The margin
+    (p + (a*u + 0.0)) - (theta*|u|)*|a| repeats the IEEE operations of
+    `robust_margin` on one channel (the sum runs from +0.0, and hypot of
+    one value is its |x|), so it equals that bit for bit.
     """
     p, al, ul = _inputs(p, a, u0)
     theta = _scalar_theta(theta)
@@ -609,10 +554,10 @@ def filter_scalar(p, a, u0, theta, u_max=None) -> FilterResult:
         raise ValueError(f"interval route needs one channel, got {len(al)}")
     (av,), (uv,) = al, ul
     bound = math.inf if u_max is None else _bounds(u_max, 1)[0]  # inf: no box
-    norm_a = math.sqrt(av * av)
+    norm_a = abs(av)
 
     def margin(v):
-        return (p + (av * v + 0.0)) - (theta * math.sqrt(v * v)) * norm_a
+        return (p + (av * v + 0.0)) - (theta * abs(v)) * norm_a
 
     u = min(max(uv, -bound), bound)
     if not margin(u) >= 0.0:
@@ -635,7 +580,7 @@ def filter_scalar(p, a, u0, theta, u_max=None) -> FilterResult:
                     f"feasible interval (-inf, {u_h}] lies outside the bound {-bound}")
             u = max(min(uv, min(u_h, bound)), -bound)
     value = margin(u)
-    if math.isnan(value):  # |a| past ~1e154 or an overflowing a * u
+    if math.isnan(value):  # an overflowing a * u or theta |u| |a|
         raise _overflow(p)
     # positional: keywords cost a frozen dataclass another 0.5 us per call
     return FilterResult(np.array([u]), value, abs(u - uv) > TOL_FEAS)
@@ -648,7 +593,7 @@ def filter_socp(p, a, u0, theta, u_max=None) -> FilterResult:
     theta = _scalar_theta(theta)
     ub = _bounds(u_max, len(al))
     norm_a = math.hypot(*al)  # a @ a underflows below ~1e-162, hypot does not
-    margin = partial(_ball_margin, p, al, theta, _norm(al))
+    margin = partial(_ball_margin, p, al, theta, norm_a)
     u = ul if ub is None else _clip(ul, ub)
     # the answer and its margin; while ans is None, value is the failing g(0)
     ans, value = _try_baseline(u, al, p, margin)
@@ -690,19 +635,37 @@ def filter_qp_channels(p, a, u0, theta, u_max=None) -> FilterResult:
         u = [b if y > 0.0 else -b if y < 0.0 else x for x, y, b in zip(u, al, ub)]
         ans, value = _box_limit(u, value, p, margin)
     if ans is None:
-        bl = ub or [math.inf] * m
-        rows = list(zip(ul, al, load, bl))
+        # the search runs in mu = lam * s on a / s, s = max_i |a_i|, where
+        # neither ||a|| nor the slope overflows with finite data
+        s = max(map(abs, al))
+        rows = [(x, y / s, l / s, b) for x, y, l, b in zip(ul, al, load, ub or [math.inf] * m)]
 
-        def shrink(lam):
-            # soft thresholding by lam * theta_i |a_i|, then the clip
-            u = []
+        def prox(mu):
+            """u, soft thresholding of u0 + mu * a / s by mu * theta_i |a_i| / s
+            and then the clip, and the slope of g = margin(u) in mu: channel i
+            adds s d_i^2, d_i = (a_i -+ theta_i |a_i|) / s on either side of
+            0, while strictly inside its range, and nothing clamped or at 0."""
+            u, slope = [], 0.0
             for x, y, l, b in rows:
-                v, k = x + lam * y, lam * l
-                u.append(max(-b, min(b, v - k if v > k else v + k if v < -k else 0.0)))
-            return u
+                v, k = x + mu * y, mu * l
+                w = v - k if v > k else v + k if v < -k else 0.0
+                if w >= b:
+                    w = b
+                elif w <= -b:
+                    w = -b
+                elif w:
+                    d = y - l if w > 0.0 else y + l
+                    slope += d * d
+                u.append(w)
+            return u, slope * s
 
-        lam, kinks = _split_root(al, ul, load, bl, value, shrink, margin)
-        ans, value = _dual_root(lam, shrink, margin, kinks)
+        def gd(mu):
+            u, slope = prox(mu)
+            return margin(u), slope
+
+        # from -g(0) / ||a||^2 in lam
+        mu = _newton_root(gd, value, -value / s / math.hypot(*[r[1] for r in rows]) ** 2)
+        ans, value = _dual_root(mu, lambda mu: prox(mu)[0], margin)
     return FilterResult(np.array(ans), value, math.hypot(*map(sub, ans, ul)) > TOL_FEAS)
 
 

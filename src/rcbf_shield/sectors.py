@@ -20,7 +20,6 @@ lambda* = ||a|| / (2 * theta * ||u||).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,9 +214,9 @@ def apply_nonlinearity(nl: SectorNonlinearity, bound: SectorBound, u,
 def worst_case_input(u, a, theta: float) -> np.ndarray:
     """Admissible w minimizing a @ (u + w): w* = -theta*||u|| * a / ||a||.
 
-    One channel runs on floats: with |x| = sqrt(x * x), ((-theta*|u|)*a)/|a|
-    repeats the IEEE operations numpy performs on one element (np.linalg.norm
-    takes sqrt(x @ x)), so the value is the same bit for bit.
+    One channel runs on floats, ((-theta*|u|)*a)/|a|.  That is numpy's value
+    bit for bit wherever x * x neither underflows nor overflows: there
+    sqrt(x * x), which np.linalg.norm takes on one element, is |x|.
     """
     u = np.array(u, dtype=float, ndmin=1, copy=None)
     a = np.array(a, dtype=float, ndmin=1, copy=None)
@@ -225,10 +224,10 @@ def worst_case_input(u, a, theta: float) -> np.ndarray:
         raise ValueError(f"uncertainty level must satisfy 0 <= theta < 1, got {theta}")
     if u.shape == a.shape == (1,):
         uv, av = u.item(), a.item()
-        norm_a = math.sqrt(av * av)
+        norm_a = abs(av)
         if norm_a == 0.0:
             raise DegenerateGradientError("constraint direction a is zero")
-        return np.array([((-theta * math.sqrt(uv * uv)) * av) / norm_a])
+        return np.array([((-theta * abs(uv)) * av) / norm_a])
     norm_a = np.linalg.norm(a)
     if norm_a == 0.0:
         raise DegenerateGradientError("constraint direction a is zero")

@@ -15,6 +15,7 @@ from rcbf_shield.filters import filter_auto
 from rcbf_shield.sim import simulate
 from rcbf_shield.verify import (
     check_determinism,
+    check_margin_soundness,
     check_multiplier_identity,
     check_rk4_order,
     check_route_agreement,
@@ -144,6 +145,9 @@ def test_07_margin_soundness_along_run(fig3_runs):
     _report(worst >= -1e-6,
             f"robust margin along the filtered run: min over 100 steps x 100 "
             f"sampled w of p + a(u+w) = {worst:.3g} (>= -1e-6)")
+    # the same bound off the run: random instances of one to three channels
+    res = check_margin_soundness()
+    _report(res.passed, f"robust margin on random instances: {res.detail}")
 
 
 def test_08_theta_zero_reduction():

@@ -73,8 +73,9 @@ def test_range_checks_name_the_key(tmp_path):
     with pytest.raises(ConfigError, match="adversary"):
         load_scenario(_write(tmp_path, "[simulation]\nadversary = chaos\n"))
     # a level run twice would rewrite its csv and repeat its summary row
-    with pytest.raises(ConfigError, match=r"^simulation\.sweep_thetas repeats the level 0\.2$"):
-        load_scenario(_write(tmp_path, "[simulation]\nsweep_thetas = 0.2, 0.4, 0.2\n"))
+    for levels in ("0.2, 0.4, 0.2", "0.2, 0.2000001"):  # the second: one csv name
+        with pytest.raises(ConfigError, match=r"^simulation\.sweep_thetas repeats the level 0\.2$"):
+            load_scenario(_write(tmp_path, f"[simulation]\nsweep_thetas = {levels}\n"))
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

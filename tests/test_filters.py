@@ -1133,18 +1133,28 @@ def test_numpy_margin_of_every_answer_stays_within_the_rounding_bound():
 
 
 def test_one_channel_margins_repeat_the_numpy_bits():
-    # on one channel the float margins take numpy's IEEE operations, so
-    # filter_scalar's bit-exact margin and every vehicle digest hold
+    # on one channel the float margins take numpy's IEEE operations wherever
+    # no square under- or overflows, so filter_scalar's bit-exact margin and
+    # every vehicle digest hold
     cases = [(p, a, u0, theta) for p, a, u0, theta, _ in _scalar_corpus()]
-    # a * a or u * u underflowing or overflowing, where hypot would differ
-    cases += [(0.0, 1e-170, 3.0, 0.5), (0.0, -2.0, 1e-170, 0.3), (1.0, 1e160, 1e-160, 0.5),
-              (1.0, 1e200, 1e200, 0.5), (0.0, 33.8, -0.0, 0.0), (-0.0, -0.0, 5.0, 0.2)]
+    cases += [(0.0, 33.8, -0.0, 0.0), (-0.0, -0.0, 5.0, 0.2)]  # signed zeros
     for p, a, u, theta in cases:
         want = _numpy_margin(p, [a], [u], theta)[0]
         assert _bits(robust_margin(p, [a], [u], theta)) == _bits(want), (p, a, u, theta)
         want = _numpy_margin(p, [a], [u], [theta])[0]
         assert _bits(channel_margin(p, [a], [u], [theta])) == _bits(want), (p, a, u, theta)
         assert _bits(channel_margin(p, a, u, theta)) == _bits(want), (p, a, u, theta)
+    # a * a or u * u underflowing or overflowing, where numpy's sqrt(x * x)
+    # is not |x|: the norms stay |x|
+    for p, a, u, theta in ((0.0, 1e-170, 3.0, 0.5), (0.0, -2.0, 1e-170, 0.3),
+                           (1.0, 1e160, 1e-160, 0.5), (1.0, 1e200, 1e200, 0.5)):
+        want = p + (0.0 + a * u) - theta * abs(u) * abs(a)
+        assert _bits(robust_margin(p, [a], [u], theta)) == _bits(want), (p, a, u, theta)
+        want = p + (0.0 + a * u) - (0.0 + theta * abs(a) * abs(u))
+        assert _bits(channel_margin(p, [a], [u], [theta])) == _bits(want), (p, a, u, theta)
+    # |a| * 0 is 0, so the safe input u = 0 is returned with its margin p
+    res = filter_scalar(1.0, 1e200, 0.0, 0.5)
+    assert res.u.tolist() == [0.0] and res.margin == 1.0 and not res.altered
 
 
 def test_margins_reject_vectors_of_unequal_length():
@@ -1179,9 +1189,39 @@ def test_a_nan_margin_is_never_certified():
         filter_scalar(-1.0, 1e200, 1e200, 0.5)
 
 
+def test_split_search_takes_few_evaluations(monkeypatch):
+    # the split route's dual root is one more client of _newton_root, on its
+    # own margin and that margin's closed-form slope
+    newton, evals = rcbf_shield.filters._newton_root, []
+
+    def spy(gd, g0, y):
+        def counted(lam):
+            evals[-1] += 1
+            return gd(lam)
+        evals.append(0)
+        return newton(counted, g0, y)
+
+    monkeypatch.setattr(rcbf_shield.filters, "_newton_root", spy)
+    for p, a, theta, u0, ub in _split_agreement_instances(1000):
+        assert filter_qp_channels(p, a, u0, theta, u_max=ub).margin >= 0.0
+    assert len(evals) > 500, len(evals)
+    assert max(evals) <= 30 and sum(evals) <= 5 * len(evals), (max(evals), sum(evals) / len(evals))
+
+
 def test_an_overflowing_split_slope_raises_filter_error():
-    # (|a_i| - theta_i |a_i|)^2 past the float range: a typed error, not an
-    # OverflowError, nor a NaN multiplier that the root search never leaves
+    # a_i u0_i past the float range, so the baseline margin is -inf: a typed
+    # error, not an OverflowError, nor an InfeasibleError
     with pytest.raises(FilterError, match="overflows") as err:
         filter_qp_channels(-1.0, [1e200, 1e200], [-1e200, 0.0], [0.5, 0.5])
     assert not isinstance(err.value, InfeasibleError)
+    # ||a||^2 and (|a_i| - theta_i |a_i|)^2 overflow, but every margin is
+    # finite: a certified answer, u = 2e-160, with or without the box
+    for ub in (None, [1.0]):
+        r = filter_qp_channels(-1.0, [1e160], [-1.0], [0.5], u_max=ub)
+        assert r.margin >= 0.0 and r.margin == channel_margin(-1.0, [1e160], r.u, [0.5])
+        assert abs(r.u[0]) <= 1e-14
+    # ||a|| itself overflows; the answer is about [-1e-301, 3e-301]
+    a = [1.5e308, 1.5e308]
+    r = filter_qp_channels(-1.0, a, [-1e-300, 0.0], [0.5, 0.5])
+    assert r.margin >= 0.0 and r.margin == channel_margin(-1.0, a, r.u, [0.5, 0.5])
+    assert np.allclose(r.u, [-1e-301, 3e-301], rtol=1e-6, atol=0.0)

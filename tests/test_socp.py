@@ -130,9 +130,9 @@ def test_determinism_bitwise():
     assert r1.iterations == r2.iterations
 
 
-def test_warm_hint_agrees_with_cold_start():
-    # the solver takes no start hint; this program's optimum is 3 * (1, -0.4)
-    # / ||(1, -0.4)||, on the disk's rim
+def test_optimum_on_the_disk_rim():
+    # this program's optimum is 3 * (1, -0.4) / ||(1, -0.4)||, on the rim of
+    # the disk of radius 3
     prog = ConeProgram(c=np.array([-1.0, 0.4]), blocks=(_ball(2, 3.0),), n_vars=2)
     res = solve_socp(prog)
     assert res.status == STATUS_OPTIMAL
@@ -174,15 +174,6 @@ def test_feasible_set_pinched_to_a_point():
     res = solve_socp(ConeProgram(c=e_t, blocks=blocks, n_vars=3))
     assert res.status == STATUS_OPTIMAL
     assert res.z == pytest.approx([1.0, 1.0, float(np.linalg.norm(1.0 - u0))], abs=1e-8)
-
-
-def test_boundary_start_hint_is_repaired():
-    # every solve starts at the embedding's central point, which no cone
-    # rejects; this program's optimum is (-1, 0)
-    prog = ConeProgram(c=np.array([1.0, 0.0]), blocks=(_ball(2),), n_vars=2)
-    res = solve_socp(prog)
-    assert res.status == STATUS_OPTIMAL
-    assert res.z == pytest.approx([-1.0, 0.0], abs=1e-7)
 
 
 def test_block_shape_validation():
