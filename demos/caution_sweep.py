@@ -6,21 +6,17 @@ with theta, so the closest approach distance grows monotonically; every
 run stays safe.
 """
 
-from dataclasses import replace
-
 from rcbf_shield.config import scenario_presets
-from rcbf_shield.sectors import NormalizedUncertainty
-from rcbf_shield.sim import simulate, trajectory_metrics
+from rcbf_shield.sim import simulate_sweep, trajectory_metrics
 
 
 def main():
     base = scenario_presets()["fig4_sweep"]
     print(f"{'theta':>6} {'min_dist':>10} {'min_h':>10} {'steps altered':>14}")
     prev = 0.0
-    for theta in base.sweep_thetas:
-        sc = replace(base, uncertainty=NormalizedUncertainty(
-            theta=theta, scale=base.uncertainty.scale), sweep_thetas=None)
-        m = trajectory_metrics(simulate(sc), sc.barrier)
+    # the levels run as one lockstep loop, one result per level in sorted order
+    for theta, traj in zip(sorted(base.sweep_thetas), simulate_sweep(base)):
+        m = trajectory_metrics(traj, base.barrier)
         arrow = "  (+{:.4f})".format(m["min_distance"] - prev) if prev else ""
         print(f"{theta:>6.1f} {m['min_distance']:>10.5f} {m['min_h']:>10.5f} "
               f"{m['steps_altered']:>14d}{arrow}")

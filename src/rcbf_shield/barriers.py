@@ -17,13 +17,21 @@ interest) the condition is pole-placed on the (h, hdot) error dynamics:
 
 Gradients fall back to central finite differences when no analytic form
 is supplied.
+
+Every callable takes a stack of states, shape (..., n), and returns each
+state's own value: f and grad h an (..., n) array, g an (..., n, m) array,
+h an (..., ) array.  One state is the shape (n,).  The degree-2 term
+evaluates the 2n points of its stencil as one (..., 2n, n) stack, and a
+caller may pass a stack of states to `barrier_terms` itself.  Each
+row of a stack gets the bits of the one-state product (`_matvec`,
+`_rowdot`, `_vecmat`); one state keeps `ndarray.dot`, which costs a third
+of a stacked `np.matmul`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -47,14 +55,15 @@ class Dynamics:
     """Input-affine control system xdot = f(x) + g(x) v.
 
     Attributes:
-        f: Drift field, maps state (n,) to an (n,) array.
-        g: Input matrix, maps state (n,) to an (n, m) array.
+        f: Drift field, maps states (..., n) to an (..., n) array.
+        g: Input matrix, maps states (..., n) to an (..., n, m) array.
         n: State dimension.
         m: Input dimension.
 
-    The finite-difference stencils and the RK4 stages pass work arrays
-    that are overwritten after the call, so f and g must not keep their
-    argument.
+    f and g take a stack of states and return each state's own value, bit
+    for bit what they return for that state alone (`sim.simulate` checks
+    this once per run).  The RK4 stages pass work arrays that are
+    overwritten after the call, so f and g must not keep their argument.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -86,10 +95,13 @@ class Barrier:
     """Safety certificate h with the data needed to build its constraint.
 
     Attributes:
-        h: Barrier value, maps state (n,) to a scalar; safe when >= 0.
+        h: Barrier value, maps states (..., n) to an (...) array; safe
+            when >= 0.
         degree: Relative degree of h along the dynamics, 1 or 2.
-        grad: Optional analytic gradient (n,); finite differences otherwise.
-        class_k: Decrease-rate function for degree 1 (default gamma = 1).
+        grad: Optional analytic gradient, states (..., n) to (..., n);
+            finite differences otherwise.
+        class_k: Decrease-rate function for degree 1 (default gamma = 1),
+            applied to an (...) array of h values.
         gains: (k0, k1) pole-placement gains, required for degree 2.
         radius: Optional obstacle radius, lets trajectory metrics report a
             distance alongside the raw barrier value.
@@ -109,28 +121,68 @@ class Barrier:
             raise ValueError("degree-2 barriers need pole-placement gains (k0, k1)")
 
 
-def _numeric_gradient(func: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
-    """Central differences (func(x + eps e_i) - func(x - eps e_i)) / (2 eps)
-    with eps = 1e-6 * (1 + ||x||), ||x|| = sqrt(x.dot(x)) as np.linalg.norm
-    takes it.
+# Products of a stack take np.matmul per row, which runs each row through
+# the BLAS kernel of the one-state ndarray.dot: the same bits.  A sum of one
+# term is the exception: dot returns the product itself, where matmul adds
+# it to +0.0 and so loses the sign of a zero ([33.8].dot([-0.0]) is -0.0),
+# so a stack takes the product too.
 
-    The points are two work arrays moved one coordinate at a time and put
-    back after each call, which func must not keep.  They start from
-    x + 0.0 and x: adding the zero step turns -0.0 into +0.0 on the other
-    coordinates, subtracting it keeps -0.0.
-    """
-    plus, minus = x + 0.0, x.copy()
-    eps = 1e-6 * (1.0 + math.sqrt(minus.dot(minus)))
-    out = np.empty(x.size)
-    for i, xi in enumerate(x.tolist()):
-        plus[i], minus[i] = xi + eps, xi - eps
-        out[i] = (func(plus) - func(minus)) / (2.0 * eps)
-        plus[i], minus[i] = xi + 0.0, xi
+def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x for each row of the stack x (..., k), A (j, k) or (..., j, k)."""
+    if x.ndim == 1:
+        return A.dot(x)
+    if x.shape[-1] == 1:
+        return A[..., 0] * x
+    return np.matmul(A, x[..., None])[..., 0]
+
+
+def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for each row of the stacks x and y (..., k)."""
+    if x.ndim == 1:
+        return x.dot(y)
+    if x.shape[-1] == 1:
+        return (x * y)[..., 0]
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def _vecmat(x: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """x @ A for each row of the stack x (..., k), A (k, m) or (..., k, m)."""
+    if x.ndim == 1:
+        return x.dot(A)
+    if x.shape[-1] == 1:
+        return x * A[..., 0, :]
+    return np.matmul(x[..., None, :], A)[..., 0, :]
+
+
+@lru_cache(maxsize=None)
+def _stencil(n: int) -> np.ndarray:
+    """The steps of the 2n stencil points per unit eps: the rows of I, then
+    of -I (whose zeros are -0.0)."""
+    eye = np.eye(n)
+    out = np.concatenate((eye, -eye))
+    out.flags.writeable = False
     return out
 
 
+def _numeric_gradient(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray
+                      ) -> np.ndarray:
+    """Central differences (func(x + eps e_i) - func(x - eps e_i)) / (2 eps)
+    at each state of the stack x (..., n), eps = 1e-6 * (1 + ||x||) per
+    state, ||x|| = sqrt(x @ x) as np.linalg.norm takes it.
+
+    func evaluates the 2n points of each state as one (..., 2n, n) stack,
+    x + eps I and then x + -eps I.  Adding +0.0 turns -0.0 into +0.0 on the
+    other coordinates of the first n, and adding -0.0 keeps every zero's
+    sign on the last n, as subtracting +0.0 would.
+    """
+    n = x.shape[-1]
+    eps = 1e-6 * (1.0 + np.sqrt(_rowdot(x, x)))
+    values = func(x[..., None, :] + eps[..., None, None] * _stencil(n))
+    return (values[..., :n] - values[..., n:]) / (2.0 * eps)[..., None]
+
+
 def gradient(barrier: Barrier, x) -> np.ndarray:
-    """Gradient of h at x, analytic if available."""
+    """Gradient of h at each state of x (..., n), analytic if available."""
     x = np.asarray(x, dtype=float)
     if barrier.grad is not None:
         return np.asarray(barrier.grad(x), dtype=float)
@@ -151,42 +203,40 @@ class StateValues(NamedTuple):
     f: np.ndarray
     g: np.ndarray
     grad: np.ndarray
-    h: float
+    h: np.ndarray
 
 
 def barrier_terms(barrier: Barrier, dyn: Dynamics,
                   uncertainty: NormalizedUncertainty, x, values: bool = False):
-    """Constraint data (p, a) of p + a @ (u + w) >= 0 at the state x.
+    """Constraint data (p, a) of p + a @ (u + w) >= 0 at each state of x.
 
-    With values=True the result is (p, a, StateValues), so a caller that
-    needs f, g, grad h or h at the same x evaluates none of them again.
+    For x of shape (..., n), p has shape (...) and a (..., m); one state
+    gives a float p (np.float64).  With values=True the result is
+    (p, a, StateValues), so a caller that needs f, g, grad h or h at the
+    same x evaluates none of them again.
     """
     x = np.asarray(x, dtype=float)
-    # ndarray.dot runs the BLAS kernels of @ at half the dispatch cost, with
-    # the same bits on the vehicle's 5-vectors and (5, 1) input matrix, but
-    # not on every input: on one-element vectors holding a signed zero,
-    # [33.8].dot([-0.0]) is -0.0 where @ gives +0.0 (numpy 2.4.6)
     fx, gx, hx = dyn.f(x), dyn.g(x), barrier.h(x)
     grad = gradient(barrier, x)
     if barrier.degree == 1:
         eta = barrier.class_k if barrier.class_k is not None else linear_class_k()
-        p = float(grad.dot(fx)) + float(eta(hx))
-        a = uncertainty.scale * grad.dot(gx)
+        p = _rowdot(grad, fx) + eta(hx)
+        a = uncertainty.scale * _vecmat(grad, gx)
     else:
         # degree 2: differentiate psi = grad_h @ f by central differences
         # (its analytic gradient would need the Hessian of h, which callers
-        # are not asked to supply)
+        # are not asked to supply), psi evaluated on the stencil's stack
         f, grad_h = dyn.f, barrier.grad
         if grad_h is None:
             grad_h = partial(_numeric_gradient, barrier.h)
 
         def psi(y):
-            return float(np.asarray(grad_h(y), dtype=float).dot(f(y)))
+            return _rowdot(np.asarray(grad_h(y), dtype=float), f(y))
 
         grad_psi = _numeric_gradient(psi, x)
         k0, k1 = barrier.gains
-        p = float(grad_psi.dot(fx)) + k1 * float(grad.dot(fx)) + k0 * float(hx)
-        a = uncertainty.scale * grad_psi.dot(gx)
+        p = _rowdot(grad_psi, fx) + k1 * _rowdot(grad, fx) + k0 * hx
+        a = uncertainty.scale * _vecmat(grad_psi, gx)
     a = np.array(a, dtype=float, ndmin=1, copy=None)
     if values:
         return p, a, StateValues(fx, gx, grad, hx)

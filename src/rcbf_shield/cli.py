@@ -18,10 +18,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from typing import Optional
 
-from .config import ConfigError, level_tag, load_scenario
+from .config import ConfigError, load_scenario
 from .filters import FilterError
 from .output import (
     metrics_text,
@@ -29,8 +28,7 @@ from .output import (
     trajectory_csv_text,
     trajectory_svg_text,
 )
-from .sectors import NormalizedUncertainty
-from .sim import Scenario, SimulationError, simulate, trajectory_metrics
+from .sim import Scenario, SimulationError, simulate, simulate_sweep, trajectory_metrics
 from .verify import format_report, run_checks
 
 __all__ = ["main", "cmd_simulate", "cmd_sweep", "cmd_verify"]
@@ -155,20 +153,18 @@ def cmd_sweep(args) -> int:
         raise ConfigError(
             f"scenario {sc.name!r} has no sweep_thetas; nothing to sweep")
     out = _out_dir(args)
+    # every level runs before the first file is written, so a failed
+    # level leaves no file of the levels that passed
+    runs = simulate_sweep(sc)
     rows = []
     infeasible_steps = 0
-    for theta in sorted(sc.sweep_thetas):
-        run = replace(
-            sc,
-            uncertainty=NormalizedUncertainty(theta=theta, scale=sc.uncertainty.scale),
-            name=f"{sc.name}_theta{level_tag(theta)}", sweep_thetas=None)
-        traj = simulate(run)
-        metrics = trajectory_metrics(traj, run.barrier)
+    for theta, traj in zip(sorted(sc.sweep_thetas), runs):
+        metrics = trajectory_metrics(traj, sc.barrier)
         infeasible_steps += metrics["steps_infeasible"]
-        _write(os.path.join(out, f"{run.name}.csv"), trajectory_csv_text(traj))
+        _write(os.path.join(out, f"{traj.name}.csv"), trajectory_csv_text(traj))
         if args.svg:
-            radius = run.barrier.radius if run.barrier.radius is not None else 0.0
-            _write(os.path.join(out, f"{run.name}.svg"),
+            radius = sc.barrier.radius if sc.barrier.radius is not None else 0.0
+            _write(os.path.join(out, f"{traj.name}.svg"),
                    trajectory_svg_text(traj, radius))
         rows.append((theta, metrics["min_distance"], metrics["min_h"]))
     summary = sweep_summary_text(rows)

@@ -39,7 +39,7 @@ from .sectors import (
     saturation_in_sector,
     time_varying_gain,
 )
-from .sim import SIM_FILTER_MODES, Adversary, Scenario
+from .sim import SIM_FILTER_MODES, Adversary, Scenario, level_tag
 from .vehicle import (
     LQR_GAIN,
     X0,
@@ -146,11 +146,6 @@ def _parse_text(text: str, origin: str) -> dict:
 def _require(cond: bool, message: str):
     if not cond:
         raise ConfigError(message)
-
-
-def level_tag(theta: float) -> str:
-    """A sweep level as its run and csv name show it (`cli.cmd_sweep`)."""
-    return f"{theta:g}"
 
 
 def _build_scenario(values: dict, name: str) -> Scenario:

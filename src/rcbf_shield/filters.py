@@ -26,11 +26,13 @@ without a box, in two coordinates (`_ball_root`); O(1) on the set of
 clamped channels but for one pass that tests the set under a box, where
 a stretch with g flat ends in one step (`_boxed_ball_root`); and one
 soft-thresholding pass with the margin itself on the split route
-(`filter_qp_channels`).  Every route runs on plain floats, and the margin
-has one definition, `robust_margin` or `channel_margin` on floats (sums
-from +0.0, norms by hypot, which is |x| on one channel): a cone route
-stops at the first u whose margin is >= 0 and reports it as the
-certificate.  A NaN or -inf margin at the baseline, where products of
+(`filter_qp_channels`).  Both ball routes search in mu = lam * ||a|| on
+a / ||a||, so ||a|| never enters squared, and scaling p and a by a power
+of 2 leaves their answers' bits as they are.  Every route runs on plain
+floats, and the margin has one definition, `robust_margin` or
+`channel_margin` on floats (sums from +0.0, norms by hypot, which is |x|
+on one channel): a cone route stops at the first u whose margin is >= 0
+and reports it as the certificate.  A NaN or -inf margin at the baseline, where products of
 the data overflow, raises FilterError.  Numpy's `a @ u` and
 norms may read it below 0, by at most 2 (m + 2) 2^-53 T,
 T = |p| + sum_i |a_i u_i| + the penalty term (the two evaluations'
@@ -239,9 +241,10 @@ def _dual_root(lam: float, shrink: Callable[[float], list], margin: Callable[[li
     concave dual, is continuous and nondecreasing.  The routes search its
     root on plain floats from g(0), the failing baseline's margin, with
     `_newton_root` (`_ball_root`, `_boxed_ball_root`, and the split
-    route's own g in `filter_qp_channels`).  From there lam steps up by a
-    doubling ulp step until the margin of u is >= 0: the certificate of u
-    and its reported margin.  On the split route g is that margin, so the
+    route's own g in `filter_qp_channels`), each in lam times a scale of
+    a, on a over that scale.  From there lam steps up by a doubling ulp
+    step until the margin of u is >= 0: the certificate of u and its
+    reported margin.  On the split route g is that margin, so the
     root already certifies.
     """
     step = math.ulp(lam)
@@ -257,37 +260,40 @@ def _dual_root(lam: float, shrink: Callable[[float], list], margin: Callable[[li
 
 def _ball_root(p: float, al: list, ul: list, theta: float, norm_a: float,
                g0: float) -> tuple[float, Callable[[float], list]]:
-    """Dual root lam of the ball route without a box, and its prox.
+    """Dual root of the ball route without a box, and its prox, in
+    mu = lam * ||a||.
 
-    u(lam) is block soft thresholding of v = u0 + lam * a by lam * kappa,
-    kappa = theta * ||a||: u = c * v with c = max(0, 1 - lam * kappa / ||v||).
-    Its margin needs only two coordinates of v: with d = a / ||a||,
-    t = d @ v = d @ u0 + lam * ||a|| and ||v|| = hypot(t, r), r the part of
-    u0 across a.  So g(lam) = p + ||a|| * c * (t - theta * ||v||) and its
-    slope cost O(1) per evaluation.
+    With d = a / ||a||, u(mu) is block soft thresholding of v = u0 + mu * d
+    by mu * theta: u = c * v with c = max(0, 1 - mu * theta / ||v||).  Its
+    margin needs only two coordinates of v: t = d @ v = d @ u0 + mu and
+    ||v|| = hypot(t, r), r the part of u0 across a.  So
+    g(mu) = p + ||a|| * c * (t - theta * ||v||) and its slope cost O(1) per
+    evaluation.  In mu, ||a|| enters only as that factor: no square of it
+    is formed, so nothing overflows with finite data, and scaling p and a
+    by a power of 2 scales g and leaves the search's iterates as they are.
     """
-    kappa, d = theta * norm_a, [x / norm_a for x in al]
+    d = [x / norm_a for x in al]
     t0 = _dot(d, ul)
     r = math.hypot(*[x - t0 * y for x, y in zip(ul, d)])
 
-    def gd(lam):
-        t = t0 + lam * norm_a
-        n, k = math.hypot(t, r), lam * kappa
+    def gd(mu):
+        t = t0 + mu
+        n, k = math.hypot(t, r), mu * theta
         if n <= k:
             return p, 0.0
         c, w = 1.0 - k / n, t - theta * n
-        dc = -kappa / n * (1.0 - lam * norm_a / n * (t / n))
-        return p + norm_a * c * w, norm_a * (dc * w + c * norm_a * (1.0 - theta * t / n))
+        dc = -theta / n * (1.0 - mu / n * (t / n))
+        return p + norm_a * (c * w), norm_a * (dc * w + c * (1.0 - theta * t / n))
 
-    def shrink(lam):
-        v = [x + lam * y for x, y in zip(ul, al)]
-        k, norm_v = lam * kappa, math.hypot(*v)
+    def shrink(mu):
+        v = [x + mu * y for x, y in zip(ul, d)]
+        k, norm_v = mu * theta, math.hypot(*v)
         if norm_v <= k:
             return [0.0] * len(v)
         c = 1.0 - k / norm_v
         return [x * c for x in v]
 
-    return _newton_root(gd, g0, -g0 / max(norm_a * norm_a, 1e-300)), shrink
+    return _newton_root(gd, g0, -g0 / norm_a), shrink
 
 
 def _box_reach(a: list, ub: list, kappa: float) -> float:
@@ -393,18 +399,18 @@ def _newton_root(gd: Callable[[float], tuple[float, float]], g0: float, y: float
 
 def _boxed_ball_root(p: float, al: list, ul: list, theta: float, norm_a: float, bl: list,
                      g0: float) -> tuple[float, Callable[[float], list]]:
-    """Dual root lam of the ball route under the box |u_i| <= ub_i, and its
-    prox.
+    """Dual root of the ball route under the box |u_i| <= ub_i, and its
+    prox, in mu = lam * ||a|| on d = a / ||a|| as in `_ball_root`.
 
-    The prox of lam * kappa * ||u|| plus the box at v = u0 + lam * a is 0
-    when ||v|| <= lam * kappa, else clip(s * v) with s in (0, 1] the root of
-    ||clip(s * v)|| * (1 - s) / s = lam * kappa.  On a clamped set S (each
+    The prox of mu * theta * ||u|| plus the box at v = u0 + mu * d is 0
+    when ||v|| <= mu * theta, else clip(s * v) with s in (0, 1] the root of
+    ||clip(s * v)|| * (1 - s) / s = mu * theta.  On a clamped set S (each
     channel in it at the bound of its sign), C = sum ub_i^2 over S and
     F = ||v_F||^2 over the free channels, that is N_S(s) * (1 - s) =
-    lam * kappa * s with N_S(s) = sqrt(C + F s^2), solved by `_segment_root`.
-    C and a_C @ u_C are constant on S, and v_F is taken in `_ball_root`'s
-    (t, r) coordinates along a_F: t = d_F @ v_F, r the part of u0_F across
-    a_F, d_F = a_F / ||a_F||, so F = t^2 + r^2 and a_F @ v_F = ||a_F|| t.
+    mu * theta * s with N_S(s) = sqrt(C + F s^2), solved by `_segment_root`.
+    C and d_C @ u_C are constant on S, and v_F is taken in `_ball_root`'s
+    (t, r) coordinates along d_F: t = e_F @ v_F, r the part of u0_F across
+    d_F, e_F = d_F / ||d_F||, so F = t^2 + r^2 and d_F @ v_F = ||d_F|| t.
     So while S holds, an evaluation costs O(1) and one pass over the
     channels, which tests S at the s found.  Where the pass finds another
     set S' clamped at s, the sums are rebuilt on S' and s solved again.
@@ -413,20 +419,22 @@ def _boxed_ball_root(p: float, al: list, ul: list, theta: float, norm_a: float, 
     to round: after the rebuild a round only frees the clamped channels
     below their bounds at its s, so the rounds end within m more.
 
-    With n = ||u||, differentiating n * (1 - s) = lam * kappa * s and
-    g = p + a_C @ u_C + s * a_F @ v_F - kappa * n gives g's slope in closed
-    form, for `_newton_root`.  Where no free channel moves (a_F = 0, and
-    F = 0 or kappa = 0), g is flat until the first clamped channel frees,
-    at a lam in closed form; there the slope reported sends Newton just
-    past that lam, in one step however short the search's lam is beside
-    it.  The first point is -g0 / ||a||^2, or just past a flat start if
-    that is later.  Each evaluation starts `_segment_root` from the latest
-    evaluation's s, and the prox at the root evaluates g there once more
-    for its s.
+    With n = ||u||, differentiating n * (1 - s) = mu * theta * s and
+    g = p + ||a|| * (d_C @ u_C + s * d_F @ v_F - theta * n) gives g's slope
+    in closed form, for `_newton_root`.  Where no free channel moves
+    (d_F = 0, and F = 0 or theta = 0), g is flat until the first clamped
+    channel frees, at a mu in closed form; there the slope reported sends
+    Newton just past that mu, in one step however short the search's mu is
+    beside it.  The first point is -g0 / ||a||, or just past a flat start
+    if that is later.  Where every channel is clamped, u is a corner of the
+    box, and g is taken as its margin (`_ball_margin`), the value that
+    certifies it: the closed form may round below 0 where that margin, the
+    box's best, is >= 0, and so leave the search no root.  Each evaluation
+    starts `_segment_root` from the latest evaluation's s, and the prox at
+    the root evaluates g there once more for its s.
     """
-    kappa = theta * norm_a
-    rows = list(zip(ul, al, bl))
-    # the latest clamped set: its rows, (c u0_i, c a_i, ub_i) with c the sign
+    rows = list(zip(ul, [x / norm_a for x in al], bl))
+    # the latest clamped set: its rows, (c u0_i, c d_i, ub_i) with c the sign
     # of the bound where channel i is clamped; the free rows, which the sums
     # and the set test take up to sign; and the sums
     crows = frows = clamped = a_c = norm_f = t0 = r = None
@@ -450,11 +458,11 @@ def _boxed_ball_root(p: float, al: list, ul: list, theta: float, norm_a: float, 
             q = t0 / norm_f
             r = math.hypot(*[x - q * y for x, y in zip(fu, fa)])
 
-    def clamp(lam, s):
-        """Make the set that clip(s * v) clamps at lam, and its sums."""
+    def clamp(mu, s):
+        """Make the set that clip(s * v) clamps at mu, and its sums."""
         cr, fr = [], []
         for x, y, b in rows:
-            w = s * (x + lam * y)
+            w = s * (x + mu * y)
             if w >= b:
                 cr.append((x, y, b))
             elif w <= -b:
@@ -463,27 +471,27 @@ def _boxed_ball_root(p: float, al: list, ul: list, theta: float, norm_a: float, 
                 fr.append((x, y, b))
         take(cr, fr)
 
-    def flat_end(lam):
-        """Where no free channel moves, a point just past the first lam
+    def flat_end(mu):
+        """Where no free channel moves, a point just past the first mu
         where a clamped channel frees, c v_i sqrt(C) = ub_i (sqrt(C) +
-        lam kappa); else 0."""
-        if norm_f == 0.0 and (kappa == 0.0 or r == 0.0):
+        mu theta); else 0."""
+        if norm_f == 0.0 and (theta == 0.0 or r == 0.0):
             rc = math.sqrt(clamped)
-            end = min([rc * (x - b) / (b * kappa - y * rc)
-                       for x, y, b in crows if b * kappa > y * rc], default=math.inf)
-            nxt = max(end, lam) * (1.0 + 2.0 ** -30)
-            if lam < nxt < math.inf:
+            end = min([rc * (x - b) / (b * theta - y * rc)
+                       for x, y, b in crows if b * theta > y * rc], default=math.inf)
+            nxt = max(end, mu) * (1.0 + 2.0 ** -30)
+            if mu < nxt < math.inf:
                 return nxt
         return 0.0
 
-    def gd(lam):
-        """g(lam) and its slope; s at lam (0 where u = 0) goes to s0, the
+    def gd(mu):
+        """g(mu) and its slope; s at mu (0 where u = 0) goes to s0, the
         set clamped there and its sums to the nonlocals."""
         nonlocal s0
-        k, s = lam * kappa, s0 or 1.0
+        k, s = mu * theta, s0 or 1.0
         rebuilt = False
         while True:
-            t = t0 + lam * norm_f
+            t = t0 + mu * norm_f
             free = t * t + r * r
             if k == 0.0:
                 s = 1.0
@@ -495,44 +503,48 @@ def _boxed_ball_root(p: float, al: list, ul: list, theta: float, norm_a: float, 
             if rebuilt:  # a later round only frees channels, so the rounds end
                 kept, freed = [], []
                 for x, y, b in crows:
-                    (kept if s * (x + lam * y) >= b else freed).append((x, y, b))
+                    (kept if s * (x + mu * y) >= b else freed).append((x, y, b))
                 if not freed:
                     break
                 take(kept, frows + freed)
                 continue
             for x, y, b in crows:  # the pass that tests the set at s
-                if s * (x + lam * y) < b:
+                if s * (x + mu * y) < b:
                     break
             else:
                 for x, y, b in frows:
-                    if not -b < s * (x + lam * y) < b:
+                    if not -b < s * (x + mu * y) < b:
                         break
                 else:
                     break
-            clamp(lam, s)
+            clamp(mu, s)
             rebuilt = True
         s0 = s
         if s == 0.0:
             return p, 0.0
         a_v = norm_f * t
         n = math.sqrt(clamped + s * s * free)  # ||u||
-        g = p + (a_c + s * a_v) - kappa * n
-        if kappa == 0.0 or n == 0.0:
-            slope = norm_f * norm_f
+        if frows:
+            g = p + norm_a * ((a_c + s * a_v) - theta * n)
+        else:  # u is a corner of the box, and g its margin as the certificate takes it
+            g = _ball_margin(p, al, theta, norm_a,
+                             [max(-b, min(b, s * (x + mu * y))) for x, y, b in rows])
+        if theta == 0.0 or n == 0.0:
+            slope = norm_a * (norm_f * norm_f)
         else:
             w, e, c = s * a_v / n, s * free / n, 1.0 - s
-            ds = s * (kappa - c * w) / (c * e - n - k)
-            slope = ds * (a_v - kappa * e) + s * (norm_f * norm_f - kappa * w)
-        if slope == 0.0 and g < 0.0 and (nxt := flat_end(lam)):
-            slope = -g / (nxt - lam)  # the step to just past the flat stretch
+            ds = s * (theta - c * w) / (c * e - n - k)
+            slope = norm_a * (ds * (a_v - theta * e) + s * (norm_f * norm_f - theta * w))
+        if slope == 0.0 and g < 0.0 and (nxt := flat_end(mu)):
+            slope = -g / (nxt - mu)  # the step to just past the flat stretch
         return g, slope
 
-    def shrink(lam):
-        gd(lam)
-        return [max(-b, min(b, s0 * (x + lam * y))) for x, y, b in rows]
+    def shrink(mu):
+        gd(mu)
+        return [max(-b, min(b, s0 * (x + mu * y))) for x, y, b in rows]
 
     clamp(0.0, 1.0)
-    return _newton_root(gd, g0, max(-g0 / max(norm_a * norm_a, 1e-300), flat_end(0.0))), shrink
+    return _newton_root(gd, g0, max(-g0 / norm_a, flat_end(0.0))), shrink
 
 
 def filter_scalar(p, a, u0, theta, u_max=None) -> FilterResult:
@@ -607,10 +619,10 @@ def filter_socp(p, a, u0, theta, u_max=None) -> FilterResult:
         ans, value = _box_limit(u, value, p, margin)
     if ans is None:
         if ub is None:
-            lam, shrink = _ball_root(p, al, ul, theta, norm_a, value)
+            mu, shrink = _ball_root(p, al, ul, theta, norm_a, value)
         else:
-            lam, shrink = _boxed_ball_root(p, al, ul, theta, norm_a, ub, value)
-        ans, value = _dual_root(lam, shrink, margin)
+            mu, shrink = _boxed_ball_root(p, al, ul, theta, norm_a, ub, value)
+        ans, value = _dual_root(mu, shrink, margin)
     return FilterResult(np.array(ans), value, math.hypot(*map(sub, ans, ul)) > TOL_FEAS)
 
 

@@ -15,10 +15,22 @@ and mapped back through w = v / scale - u.
 Each state is evaluated once: f(x), g(x), grad h(x) and h(x) come from
 `barrier_terms` alongside (p, a) and feed the h and hdot records, and
 xdot = f(x) + g(x) v from the hdot record is RK4's first stage.  A step
-with a degree-2 barrier on an n-state plant thus calls f 2n + 4 times,
-grad h 2n + 1 times (the 2n are the stencil points of psi), g 4 times and
-h once: 14, 11, 4 and 1 on the vehicle.  The records are byte for byte
-those of evaluating each quantity anew wherever it is used.
+with a degree-2 barrier on an n-state plant thus calls f 5 times on
+2n + 4 states (the 2n stencil points of psi are one stack), grad h twice
+on 2n + 1, g 4 times on 4 and h once: f on 14 states and grad h on 11 on
+the vehicle.  The records are byte for byte those of evaluating each
+quantity anew wherever it is used.
+
+Every callable takes a stack of states (see `barriers`), and `simulate`
+checks this once per run: on a stack of two states each must return
+each state's own value, bit for bit, or the run raises SimulationError.
+`simulate_sweep` runs a scenario's design levels as the lanes of one
+loop.  Its state is an (N, n) stack: the controller, `barrier_terms`,
+the hdot record and `step_rk4` run once per step on the stack, the
+filter and the adversary once per lane.  So a step makes the calls of
+one run, on N times the states, and each lane's records are byte for
+byte those of `simulate` on its level alone.  `simulate` is the case of
+one lane, on an (n,) state.
 
 Filter infeasibility at a step falls back to the baseline input and
 flags the step instead of aborting, so sweeps that brush infeasibility
@@ -28,12 +40,19 @@ remain comparable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .barriers import Barrier, Dynamics, barrier_terms, input_direction_defect
+from .barriers import (
+    Barrier,
+    Dynamics,
+    _matvec,
+    _rowdot,
+    barrier_terms,
+    input_direction_defect,
+)
 from .filters import FILTER_MODES, InfeasibleError, filter_auto, robust_margin
 from .sectors import (
     NormalizedUncertainty,
@@ -51,6 +70,7 @@ __all__ = [
     "SimulationResult",
     "step_rk4",
     "simulate",
+    "simulate_sweep",
     "trajectory_metrics",
 ]
 
@@ -96,7 +116,8 @@ class Scenario:
         dynamics: Input-affine plant (f, g).
         barrier: Safety certificate with degree/gains set.
         uncertainty: Design-side (theta, scale) the filter certifies against.
-        controller: Baseline feedback x -> u0 (scalar or (m,)).
+        controller: Baseline feedback, states (..., n) -> u0 of shape (...)
+            or (..., m), each state's own.
         adversary: What the plant actually does inside the sector.
         x0: Initial state, must be safe (h(x0) >= 0).
         dt: Step, seconds.
@@ -104,8 +125,8 @@ class Scenario:
         filter_mode: "off" or a filter route ("auto", "scalar", "socp", "qp").
         u_max: Optional symmetric input bound forwarded to the filter.
         name: Label used in output files.
-        sweep_thetas: For sweep-style presets, design levels to iterate;
-            plain runs leave it None.
+        sweep_thetas: For sweep-style presets, the design levels that
+            `simulate_sweep` runs; plain runs leave it None.
     """
 
     dynamics: Dynamics
@@ -159,7 +180,8 @@ class SimulationResult:
 
 def step_rk4(dyn: Dynamics, uncertainty: NormalizedUncertainty, x, u, w,
              dt: float, k1: Optional[np.ndarray] = None) -> np.ndarray:
-    """One RK4 step of xdot = f(x) + g(x) * scale * (u + w), u and w held.
+    """One RK4 step of xdot = f(x) + g(x) * scale * (u + w), u and w held,
+    for each state of x (..., n) with its own u and w (..., m).
 
     k1, if given, must be f(x) + g(x) @ (scale * (u + w)) at this x, as
     `simulate` has it from the hdot record; the step then evaluates f and
@@ -173,17 +195,17 @@ def step_rk4(dyn: Dynamics, uncertainty: NormalizedUncertainty, x, u, w,
                              + np.array(w, dtype=float, ndmin=1, copy=None))
     f, g = dyn.f, dyn.g
     if k1 is None:
-        k1 = f(x) + g(x).dot(v)
+        k1 = f(x) + _matvec(g(x), v)
     half = 0.5 * dt
     y = k1 * half
     y += x
-    k2 = f(y) + g(y).dot(v)
+    k2 = f(y) + _matvec(g(y), v)
     np.multiply(k2, half, out=y)
     y += x
-    k3 = f(y) + g(y).dot(v)
+    k3 = f(y) + _matvec(g(y), v)
     np.multiply(k3, dt, out=y)
     y += x
-    k4 = f(y) + g(y).dot(v)
+    k4 = f(y) + _matvec(g(y), v)
     # x + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4), left to right, in k2
     k2 *= 2.0
     k2 += k1
@@ -223,8 +245,47 @@ def _adversary_input(adv: Adversary, unc: NormalizedUncertainty, u: np.ndarray,
     return v / unc.scale - u
 
 
-def simulate(sc: Scenario) -> SimulationResult:
-    """Run the closed loop and record every step (n_steps + 1 rows)."""
+def _check_stacks(sc: Scenario):
+    """Raise SimulationError unless each callable of sc returns, on a stack
+    of two states, each state's own value bit for bit."""
+    dyn, barrier = sc.dynamics, sc.barrier
+    pair = np.stack((sc.x0, sc.x0 + np.arange(1.0, dyn.n + 1.0)))
+    checks = [("dynamics.f", dyn.f), ("dynamics.g", dyn.g), ("barrier.h", barrier.h),
+              ("barrier.grad", barrier.grad), ("controller", sc.controller)]
+    for name, fn in checks:
+        if fn is None:
+            continue
+        try:
+            with np.errstate(all="ignore"):
+                both = np.asarray(fn(pair), dtype=float)
+                each = [np.asarray(fn(x), dtype=float) for x in pair]
+            same = both.shape == (2,) + each[0].shape and all(
+                both[j].tobytes() == y.tobytes() for j, y in enumerate(each))
+        except (TypeError, ValueError, IndexError) as exc:  # what a one-state form raises
+            raise SimulationError(f"{name} does not take a stack of states "
+                                  f"(..., n): {exc}") from exc
+        if not same:
+            raise SimulationError(f"{name} does not return each state's own value "
+                                  f"on a stack of states (..., n)")
+
+
+def _lockstep(scenarios: list) -> list:
+    """Run scenarios that differ only in `uncertainty.theta` and `name` as
+    one closed loop on a stack of states, one result per scenario.
+
+    One scenario keeps its (n,) state; N of them step an (N, n) stack.
+    The baseline controller, `barrier_terms`, the hdot record and
+    `step_rk4` run once per step on the stack; the filter and the
+    adversary run per lane, on that lane's level.  Each lane's records are
+    byte for byte those of its own run (the stack takes per-row products,
+    see `barriers`).
+    """
+    sc = scenarios[0]
+    for other in scenarios[1:]:
+        if other.uncertainty.scale != sc.uncertainty.scale or any(
+                getattr(other, f.name) is not getattr(sc, f.name)
+                for f in fields(Scenario) if f.name not in ("uncertainty", "name")):
+            raise ValueError(f"lane {other.name!r} differs from {sc.name!r} beyond its level")
     dyn, barrier, unc = sc.dynamics, sc.barrier, sc.uncertainty
     with np.errstate(all="ignore"):  # an overflowing h(x0) is reported below
         h0 = float(barrier.h(sc.x0))
@@ -238,56 +299,80 @@ def simulate(sc: Scenario) -> SimulationResult:
             raise SimulationError(
                 f"barrier declared degree 2 but the input reaches its first "
                 f"derivative (|grad_h @ g| = {defect:g} at x0)")
+    _check_stacks(sc)
 
+    # records are lane-major: lanes[i] indexes lane i's block of each, ()
+    # for one run, whose records are its own
+    single = len(scenarios) == 1
+    lead = () if single else (len(scenarios),)
+    lanes = [()] if single else [(i,) for i in range(len(scenarios))]
     n_steps = int(round(sc.horizon / sc.dt))
+    rows = n_steps + 1
     n, m = dyn.n, dyn.m
-    times = np.arange(n_steps + 1) * sc.dt
-    states = np.empty((n_steps + 1, n))
-    u0s = np.empty((n_steps + 1, m))
-    us = np.empty((n_steps + 1, m))
-    ws = np.empty((n_steps + 1, m))
-    vs = np.empty((n_steps + 1, m))
-    h_vals = np.empty(n_steps + 1)
-    hdot_vals = np.empty(n_steps + 1)
-    margins = np.empty(n_steps + 1)
-    altered = np.zeros(n_steps + 1, dtype=bool)
-    infeasible = np.zeros(n_steps + 1, dtype=bool)
+    times = np.arange(rows) * sc.dt
+    states = np.empty(lead + (rows, n))
+    u0s, us, ws, vs = (np.empty(lead + (rows, m)) for _ in range(4))
+    h_vals, hdot_vals, margins = (np.empty(lead + (rows,)) for _ in range(3))
+    altered = np.zeros(lead + (rows,), dtype=bool)
+    infeasible = np.zeros(lead + (rows,), dtype=bool)
 
-    x = sc.x0.copy()
-    for k in range(n_steps + 1):
-        t = times[k]
-        u0 = np.array(sc.controller(x), dtype=float, ndmin=1, copy=None)
+    x = sc.x0.copy() if single else np.tile(sc.x0, (len(scenarios), 1))
+    for k in range(rows):
+        t, step = float(times[k]), k if single else (slice(None), k)  # every lane
+        u0 = u0s[step] = np.reshape(sc.controller(x), lead + (m,))
         p, a, at_x = barrier_terms(barrier, dyn, unc, x, values=True)
-        if sc.filter_mode == "off":
-            u = u0
-            margins[k] = robust_margin(p, a, u0, unc.theta)
-        else:
-            try:
-                res = filter_auto(p, a, u0, unc.theta, u_max=sc.u_max,
-                                  mode=sc.filter_mode)
-                u = res.u
-                margins[k] = res.margin
-                altered[k] = res.altered
-            except InfeasibleError:
-                u = u0
-                margins[k] = robust_margin(p, a, u0, unc.theta)
-                infeasible[k] = True
-        w = _adversary_input(sc.adversary, unc, u, a, float(t))
-        v = unc.scale * (u + w)
-        states[k] = x
-        u0s[k], us[k], ws[k], vs[k] = u0, u, w, v
-        h_vals[k] = at_x.h
-        xdot = at_x.f + at_x.g.dot(v)  # RK4's first stage
-        hdot_vals[k] = float(at_x.grad.dot(xdot))
+        for lane, run in zip(lanes, scenarios):
+            row, theta = lane + (k,), run.uncertainty.theta
+            u = u0[lane]
+            if sc.filter_mode == "off":
+                margins[row] = robust_margin(p[lane], a[lane], u, theta)
+            else:
+                try:
+                    res = filter_auto(p[lane], a[lane], u, theta, u_max=sc.u_max,
+                                      mode=sc.filter_mode)
+                    u, margins[row], altered[row] = res.u, res.margin, res.altered
+                except InfeasibleError:
+                    margins[row] = robust_margin(p[lane], a[lane], u, theta)
+                    infeasible[row] = True
+            us[row] = u
+            ws[row] = _adversary_input(sc.adversary, run.uncertainty, u, a[lane], t)
+        u, w = us[step], ws[step]
+        v = vs[step] = unc.scale * (u + w)
+        states[step] = x
+        h_vals[step] = at_x.h
+        xdot = at_x.f + _matvec(at_x.g, v)  # RK4's first stage
+        hdot_vals[step] = _rowdot(at_x.grad, xdot)
         if k < n_steps:
             x = step_rk4(dyn, unc, x, u, w, sc.dt, k1=xdot)
             if not np.isfinite(x).all():
                 raise SimulationError(f"state diverged at t = {t + sc.dt:g}")
 
-    return SimulationResult(name=sc.name, dt=sc.dt, times=times, states=states,
-                            u0s=u0s, us=us, ws=ws, vs=vs, h_vals=h_vals,
-                            hdot_vals=hdot_vals, margins=margins,
-                            altered=altered, infeasible=infeasible)
+    return [SimulationResult(run.name, sc.dt, times, states[lane], u0s[lane], us[lane],
+                             ws[lane], vs[lane], h_vals[lane], hdot_vals[lane],
+                             margins[lane], altered[lane], infeasible[lane])
+            for lane, run in zip(lanes, scenarios)]
+
+
+def level_tag(theta: float) -> str:
+    """A sweep level as its run and csv name show it (`simulate_sweep`)."""
+    return f"{theta:g}"
+
+
+def simulate(sc: Scenario) -> SimulationResult:
+    """Run the closed loop and record every step (n_steps + 1 rows)."""
+    return _lockstep([sc])[0]
+
+
+def simulate_sweep(sc: Scenario) -> list:
+    """Run sc once per level of `sc.sweep_thetas`, in sorted order, as one
+    lockstep loop; one result per level, named `{sc.name}_theta{tag}`
+    (`level_tag`), each equal to `simulate` on that level alone."""
+    if not sc.sweep_thetas:
+        raise ValueError(f"scenario {sc.name!r} has no sweep_thetas")
+    scale = sc.uncertainty.scale
+    return _lockstep([replace(sc, uncertainty=NormalizedUncertainty(theta=theta, scale=scale),
+                              name=f"{sc.name}_theta{level_tag(theta)}", sweep_thetas=None)
+                      for theta in sorted(sc.sweep_thetas)])
 
 
 def trajectory_metrics(traj: SimulationResult, barrier: Barrier) -> dict:

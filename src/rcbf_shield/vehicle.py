@@ -6,16 +6,18 @@ State ordering is (e, edot, psi, psidot, s): lateral offset to the lane
 center, heading relative to the path, and longitudinal position, which
 advances at the constant speed U and is not controlled.  The steering
 input enters the edot and psidot rows only, so the obstacle barrier
-h = e^2 + s^2 - d^2 has relative degree two.
+h = e^2 + s^2 - d^2 has relative degree two.  The model, barrier and
+controller take a stack of states (..., 5), as `barriers` asks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .barriers import Barrier, Dynamics, pole_gains
+from .barriers import Barrier, Dynamics, _matvec, _rowdot, pole_gains
 
 __all__ = [
     "VehicleParams",
@@ -82,11 +84,22 @@ def lateral_dynamics(params: VehicleParams | None = None) -> Dynamics:
     drift = np.zeros(5)
     drift[4] = U  # s advances uncontrolled
 
-    return Dynamics(f=lambda x: A @ x + drift, g=lambda x: B, n=5, m=1)
+    def f(x):
+        return _matvec(A, x) + drift
+
+    @lru_cache(maxsize=None)
+    def stacked_b(shape):
+        return np.broadcast_to(B, shape + B.shape)
+
+    def g(x):
+        return B if x.ndim == 1 else stacked_b(x.shape[:-1])
+
+    return Dynamics(f=f, g=g, n=5, m=1)
 
 
 def lqr_controller(gain=None, reference=None):
-    """Tracking feedback u0 = K @ (r - x[:4]); defaults to K above, r = 0."""
+    """Tracking feedback u0 = K @ (r - x[..., :4]) per state; defaults to K
+    above, r = 0."""
     K = LQR_GAIN if gain is None else np.atleast_1d(np.asarray(gain, dtype=float))
     if K.shape != (4,):
         raise ValueError(f"gain acts on the first four states, got shape {K.shape}")
@@ -94,7 +107,7 @@ def lqr_controller(gain=None, reference=None):
         np.asarray(reference, dtype=float))
     if r.shape != (4,):
         raise ValueError(f"reference has shape {r.shape}, expected (4,)")
-    return lambda x: float(K @ (r - x[:4]))
+    return lambda x: _rowdot(r - x[..., :4], K)
 
 
 def obstacle_barrier(d: float = 3.0, poles: tuple = (-30.0, -30.0)) -> Barrier:
@@ -108,11 +121,12 @@ def obstacle_barrier(d: float = 3.0, poles: tuple = (-30.0, -30.0)) -> Barrier:
     dsq = d * d
 
     def h(x):
-        return x[0] * x[0] + x[4] * x[4] - dsq
+        e, s = x[..., 0], x[..., 4]
+        return e * e + s * s - dsq
 
     def grad(x):
-        out = np.zeros(5)
-        out[0], out[4] = 2.0 * x[0], 2.0 * x[4]
+        out = np.zeros(x.shape)
+        out[..., 0], out[..., 4] = 2.0 * x[..., 0], 2.0 * x[..., 4]
         return out
 
     return Barrier(h=h, degree=2, grad=grad, gains=pole_gains(*poles), radius=d)

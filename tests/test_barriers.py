@@ -41,14 +41,15 @@ def test_class_k_positive_rate_only():
 def _double_integrator():
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
     B = np.array([[0.0], [1.0]])
-    return Dynamics(f=lambda x: A @ x, g=lambda x: B, n=2, m=1)
+    return Dynamics(f=lambda x: np.matmul(A, x[..., None])[..., 0],
+                    g=lambda x: np.broadcast_to(B, x.shape[:-1] + B.shape), n=2, m=1)
 
 
 def test_degree_one_terms_affine_fixture():
     # h = 1 - x0, grad = (-1, 0): p = -x1 + gamma*(1 - x0), a = 0 identically
     dyn = _double_integrator()
-    bar = Barrier(h=lambda x: 1.0 - x[0], degree=1,
-                  grad=lambda x: np.array([-1.0, 0.0]),
+    bar = Barrier(h=lambda x: 1.0 - x[..., 0], degree=1,
+                  grad=lambda x: np.broadcast_to([-1.0, 0.0], x.shape),
                   class_k=linear_class_k(2.0))
     unc = NormalizedUncertainty(theta=0.3, scale=1.5)
     x = np.array([0.25, -0.5])
@@ -60,8 +61,8 @@ def test_degree_one_terms_affine_fixture():
 def test_degree_one_velocity_barrier():
     # h = 1 - x1 sees the input directly: a = -scale
     dyn = _double_integrator()
-    bar = Barrier(h=lambda x: 1.0 - x[1], degree=1,
-                  grad=lambda x: np.array([0.0, -1.0]))
+    bar = Barrier(h=lambda x: 1.0 - x[..., 1], degree=1,
+                  grad=lambda x: np.broadcast_to([0.0, -1.0], x.shape))
     unc = NormalizedUncertainty(theta=0.0, scale=2.0)
     p, a = barrier_terms(bar, dyn, unc, np.array([0.0, 0.4]))
     assert a == pytest.approx([-2.0])
@@ -69,7 +70,7 @@ def test_degree_one_velocity_barrier():
 
 
 def test_numeric_gradient_matches_analytic():
-    bar_fd = Barrier(h=lambda x: x[0] ** 2 - 3.0 * x[1], degree=1)
+    bar_fd = Barrier(h=lambda x: x[..., 0] ** 2 - 3.0 * x[..., 1], degree=1)
     x = np.array([1.3, -0.7])
     g = gradient(bar_fd, x)
     assert g == pytest.approx([2.6, -3.0], rel=1e-6)
@@ -77,8 +78,8 @@ def test_numeric_gradient_matches_analytic():
 
 def test_input_direction_defect():
     dyn = _double_integrator()
-    bar = Barrier(h=lambda x: 1.0 - x[0], degree=1,
-                  grad=lambda x: np.array([-1.0, 0.0]))
+    bar = Barrier(h=lambda x: 1.0 - x[..., 0], degree=1,
+                  grad=lambda x: np.broadcast_to([-1.0, 0.0], x.shape))
     assert input_direction_defect(bar, dyn, np.zeros(2)) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -86,8 +87,8 @@ def test_degree_two_terms_double_integrator():
     # h = 1 - x0 has degree 2; psi = -x1, so p = -u-free drift + gains and
     # a = -scale exactly
     dyn = _double_integrator()
-    bar = Barrier(h=lambda x: 1.0 - x[0], degree=2,
-                  grad=lambda x: np.array([-1.0, 0.0]),
+    bar = Barrier(h=lambda x: 1.0 - x[..., 0], degree=2,
+                  grad=lambda x: np.broadcast_to([-1.0, 0.0], x.shape),
                   gains=pole_gains(-1.0, -2.0))
     unc = NormalizedUncertainty(theta=0.2, scale=1.0)
     x = np.array([0.5, 0.25])
@@ -100,15 +101,15 @@ def test_degree_two_terms_double_integrator():
 
 def test_degree_two_requires_gains():
     with pytest.raises(ValueError):
-        Barrier(h=lambda x: x[0], degree=2)
+        Barrier(h=lambda x: x[..., 0], degree=2)
     with pytest.raises(ValueError):
-        Barrier(h=lambda x: x[0], degree=3)
+        Barrier(h=lambda x: x[..., 0], degree=3)
 
 
 def test_input_scale_enters_linearly():
     dyn = _double_integrator()
-    bar = Barrier(h=lambda x: 1.0 - x[1], degree=1,
-                  grad=lambda x: np.array([0.0, -1.0]))
+    bar = Barrier(h=lambda x: 1.0 - x[..., 1], degree=1,
+                  grad=lambda x: np.broadcast_to([0.0, -1.0], x.shape))
     x = np.array([0.1, 0.2])
     _, a1 = barrier_terms(bar, dyn, NormalizedUncertainty(0.0, 1.0), x)
     _, a3 = barrier_terms(bar, dyn, NormalizedUncertainty(0.0, 3.0), x)
@@ -176,10 +177,11 @@ def test_degree_two_stencil_is_bit_exact_on_a_non_quadratic_barrier():
     # so psi itself is a finite difference.  The atan2 term sees the sign of
     # a zero x1, so the test also pins which stencil points carry -0.0.
     B = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    dyn = Dynamics(f=lambda x: np.array([x[2], x[3], -np.sin(x[0]), -0.3 * x[3] * abs(x[3])]),
-                   g=lambda x: B, n=4, m=2)
-    bar = Barrier(h=lambda x: (2.0 - x[0] ** 4 - np.cosh(x[1])
-                               + 0.01 * np.arctan2(x[1], x[0] - 3.0)),
+    dyn = Dynamics(f=lambda x: np.stack([x[..., 2], x[..., 3], -np.sin(x[..., 0]),
+                                         -0.3 * x[..., 3] * abs(x[..., 3])], axis=-1),
+                   g=lambda x: np.broadcast_to(B, x.shape[:-1] + B.shape), n=4, m=2)
+    bar = Barrier(h=lambda x: (2.0 - x[..., 0] ** 4 - np.cosh(x[..., 1])
+                               + 0.01 * np.arctan2(x[..., 1], x[..., 0] - 3.0)),
                   degree=2, gains=pole_gains(-2.0, -3.0))
     unc = NormalizedUncertainty(theta=0.2, scale=0.8)
     rng = np.random.default_rng(11)

@@ -318,14 +318,25 @@ def test_start_state_past_the_float_range_exits_one(tmp_path, capsys, x0, messag
     assert os.listdir(tmp_path) == ["case.cfg"]
 
 
+_TOO_LARGE = "[simulation]\nx0 = 1e160, 0, 0, 0, -20\n"
+# the saturation passes every |u| of level 0.2 (at most 17.9) but not of
+# level 0.8 (27.5 near t = 0.54 s): only the higher level raises
+_SATURATED_SWEEP = ("[simulation]\nhorizon = 0.6\nadversary = saturation\nsat_level = 20\n"
+                    "sat_range = 20\nsweep_thetas = 0.2, 0.8\n")
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("command, extra", [("simulate", ""),
-                                            ("sweep", "sweep_thetas = 0.2, 0.4\n")])
-def test_a_failed_run_leaves_no_output_directory(tmp_path, capsys, command, extra):
-    cfg = _write(tmp_path, f"[simulation]\nx0 = 1e160, 0, 0, 0, -20\n{extra}")
+@pytest.mark.parametrize("command, text, error", [
+    pytest.param("simulate", _TOO_LARGE, "h(x0) = inf is not finite", id="simulate-"),
+    pytest.param("sweep", _TOO_LARGE + "sweep_thetas = 0.2, 0.4\n",
+                 "h(x0) = inf is not finite", id="sweep-sweep_thetas = 0.2, 0.4\n"),
+    pytest.param("sweep", _SATURATED_SWEEP, "input magnitude", id="sweep-saturated_level"),
+])
+def test_a_failed_run_leaves_no_output_directory(tmp_path, capsys, command, text, error):
+    cfg = _write(tmp_path, text)
     out = tmp_path / "new" / "run"
     assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("error: h(x0) = inf is not finite")
+    assert capsys.readouterr().err.startswith(f"error: {error}")
     assert sorted(os.listdir(tmp_path)) == ["case.cfg"]
     # a run that succeeds makes the directory with its first file
     assert main(["simulate", "--scenario", "fig3_recbf", "--horizon", "0.1",

@@ -1041,7 +1041,8 @@ def test_ball_route_survives_an_underflowing_a_dot_a():
 
 def test_boxed_ball_route_solves_a_failing_margin_near_underflow():
     # g(0) = p is subnormal or tiny beside the box's best margin: the first
-    # point -p / ||a||^2 is already the root, and the box corner is safe
+    # point -p / ||a|| (in mu = lam ||a||) is already the root, and the box
+    # corner is safe
     for p, u_max in ((-1e-300, 1e30), (-1e-310, 1.0)):
         res = filter_socp(p, [1.0, 1.0], [0.0, 0.0], 0.0, u_max=u_max)
         assert res.margin >= 0.0 and res.margin == robust_margin(p, [1.0, 1.0], res.u, 0.0)
@@ -1051,8 +1052,8 @@ def test_boxed_ball_route_solves_a_failing_margin_near_underflow():
 def test_boxed_ball_route_steps_past_a_flat_start_on_a_tiny_failing_margin():
     # Both channels start clamped and g = p stays flat up to lam = 1, where
     # the first one frees; the root lies just past it.  The first point
-    # -p / ||a||^2 is ~1e-150 or subnormal, so doubling alone would need
-    # ~500 steps to leave the stretch: the search has to jump to its end
+    # -p / ||a|| is ~1e-150 or subnormal, so doubling alone would need ~500
+    # steps to leave the stretch: the search has to jump to its end
     for p in (-1e-150, -1e-310):
         res = filter_socp(p, [1.0, -1.0], [-2.0, -2.0], 0.0, u_max=1.0)
         assert res.margin >= 0.0 and res.margin == robust_margin(p, [1.0, -1.0], res.u, 0.0)
@@ -1225,3 +1226,40 @@ def test_an_overflowing_split_slope_raises_filter_error():
     r = filter_qp_channels(-1.0, a, [-1e-300, 0.0], [0.5, 0.5])
     assert r.margin >= 0.0 and r.margin == channel_margin(-1.0, a, r.u, [0.5, 0.5])
     assert np.allclose(r.u, [-1e-301, 3e-301], rtol=1e-6, atol=0.0)
+
+
+def test_ball_route_searches_where_the_square_of_a_overflows():
+    # ||a||^2 overflows, but every margin is finite: the searches run in
+    # mu = lam ||a||, which needs no square of a.  The answer is the point
+    # of the cone a @ u >= theta ||a|| ||u|| nearest u0, [-(2 - sqrt 3) / 4,
+    # 1 / 4] up to ~1e-160, inside the box u_max = 1 too
+    a, u0 = [1e160, 1e160], [-1.0, 0.0]
+    for u_max in (None, 1.0):
+        res = filter_socp(-1.0, a, u0, 0.5, u_max=u_max)
+        assert res.margin >= 0.0 and res.margin == robust_margin(-1.0, a, res.u, 0.5)
+        assert np.allclose(res.u, [-(2.0 - math.sqrt(3.0)) / 4.0, 0.25], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("boxed", [False, True])
+def test_ball_route_answers_keep_their_bits_when_p_and_a_scale_by_a_power_of_two(boxed):
+    # 2^k p and 2^k a scale every margin and g by 2^k exactly and leave the
+    # search's iterates in mu = lam ||a|| as they are, for k from the
+    # underflow of a @ a to the overflow of ||a||^2
+    searched = 0
+    for p, a, theta, u0, ub in _route_agreement_instances(1000):
+        if (ub is not None) != boxed:
+            continue
+        try:
+            want = filter_socp(p, a, u0, theta, u_max=ub)
+        except InfeasibleError:
+            want = None
+        for k in (-600, 530):
+            try:
+                got = filter_socp(math.ldexp(p, k), np.ldexp(a, k), u0, theta, u_max=ub)
+            except InfeasibleError:
+                assert want is None, (k, p, a, theta, u0, ub)
+                continue
+            assert want is not None and got.u.tobytes() == want.u.tobytes(), (k, p, a, u0)
+            assert got.altered == want.altered
+        searched += want is not None and want.altered
+    assert searched >= 90
