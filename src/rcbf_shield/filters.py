@@ -15,32 +15,35 @@ dimension), an exact interval projection for one input channel, and a
 split route for per-channel levels, whose worst case decouples into
 p + a @ u - sum_i theta_i |a_i| |u_i| >= 0.  All routes first try the
 baseline: when its projection onto the input box (u0 without a box)
-meets the constraint, it is the answer.  Otherwise the cone routes take
-the exact dual root (see `_dual_root`), with or without a box: a 1-D
-monotone search in the constraint's multiplier over a closed-form prox.
-Every cone route searches with `_newton_root` on the margin's
-closed-form slope: Newton steps, kept in a root bracket by doubling,
-the Illinois secant and bisection, up to the first point with g >= 0
-whose own step is converged.  Each evaluation is O(1) on the ball route
-without a box, in two coordinates (`_ball_root`); O(1) on the set of
-clamped channels but for one pass that tests the set under a box, where
-a stretch with g flat ends in one step (`_boxed_ball_root`); and one
-soft-thresholding pass with the margin itself on the split route
-(`filter_qp_channels`).  Both ball routes search in mu = lam * ||a|| on
-a / ||a||, so ||a|| never enters squared, and scaling p and a by a power
-of 2 leaves their answers' bits as they are.  Every route runs on plain
-floats, and the margin has one definition, `robust_margin` or
-`channel_margin` on floats (sums from +0.0, norms by hypot, which is |x|
-on one channel): a cone route stops at the first u whose margin is >= 0
-and reports it as the certificate.  A NaN or -inf margin at the baseline, where products of
-the data overflow, raises FilterError.  Numpy's `a @ u` and
-norms may read it below 0, by at most 2 (m + 2) 2^-53 T,
-T = |p| + sum_i |a_i u_i| + the penalty term (the two evaluations'
-summed error bounds).  A filter returns u, that margin and whether u
-moved; the worst-case w* at u is `sectors.worst_case_input` (or
-`per_channel_worst_case`).  No filter runs the interior-point solver: it
-is the self-checks' oracle, on the paper's min-norm programs in SOCP
-form (`verify.ball_program` and `verify.split_program`).
+meets the constraint, it is the answer.  Otherwise each cone route takes
+the exact dual root, with or without a box: a 1-D monotone search in
+the constraint's multiplier over a closed-form prox.  Every cone route
+searches with `_newton_root` on the margin's closed-form slope: Newton
+steps, kept in a root bracket by doubling, the Illinois secant and
+bisection.  Each evaluation is O(1) on the ball route without a box, in
+two coordinates (`_ball_root`); O(1) on the set of clamped channels but
+for one pass that tests the set under a box, where a stretch with g flat
+ends in one step (`_boxed_ball_root`); and one soft-thresholding pass
+with the margin itself on the split route (`filter_qp_channels`).  Both
+ball routes search in mu = lam * ||a|| on a / ||a||, so ||a|| never
+enters squared, and scaling p and a by a power of 2 leaves their
+answers' bits as they are.  Every route runs on plain floats, and the
+margin has one definition, `robust_margin` or `channel_margin` on floats
+(sums from +0.0, norms by hypot, which is |x| on one channel).  Where g
+is >= 0 the search takes that margin at the prox's u: a point whose
+margin is below 0 counts as below the root, and the search returns the
+first converged point whose margin is >= 0, u with that margin as its
+certificate.  A search that does not converge raises FilterError, never
+InfeasibleError: that verdict comes only from a = 0, from the box (see
+`_box_limit`) and from the interval route.  A NaN or -inf margin at the
+baseline, where products of the data overflow, raises FilterError.
+Numpy's `a @ u` and norms may read the margin below 0, by at most
+2 (m + 2) 2^-53 T, T = |p| + sum_i |a_i u_i| + the penalty term (the two
+evaluations' summed error bounds).  A filter returns u, that margin and
+whether u moved; the worst-case w* at u is `sectors.worst_case_input`
+(or `per_channel_worst_case`).  No filter runs the interior-point
+solver: it is the self-checks' oracle, on the paper's min-norm programs
+in SOCP form (`verify.ball_program` and `verify.split_program`).
 
 Optionally a symmetric box |u_i| <= u_max_i restricts the input set;
 infeasibility against the box is raised as an error, never relaxed.
@@ -230,47 +233,23 @@ def _box_limit(best: list, g0: float, p: float, margin: Callable[[list], float]
     return best, value
 
 
-def _dual_root(lam: float, shrink: Callable[[float], list], margin: Callable[[list], float]
-               ) -> tuple[list, float]:
-    """The answer of a cone route whose box-projected baseline fails, from
-    a root lam of its dual: u and its margin >= 0.
-
-    u(lam) = shrink(lam), the prox of the route's penalty plus the box at
-    u0 + lam * a, minimizes ||u - u0||^2 / 2 - lam * margin(u) over the
-    input set, so g(lam) = margin(u(lam)), minus the derivative of the
-    concave dual, is continuous and nondecreasing.  The routes search its
-    root on plain floats from g(0), the failing baseline's margin, with
-    `_newton_root` (`_ball_root`, `_boxed_ball_root`, and the split
-    route's own g in `filter_qp_channels`), each in lam times a scale of
-    a, on a over that scale.  From there lam steps up by a doubling ulp
-    step until the margin of u is >= 0: the certificate of u and its
-    reported margin.  On the split route g is that margin, so the
-    root already certifies.
-    """
-    step = math.ulp(lam)
-    while True:
-        u = shrink(lam)
-        value = margin(u)
-        if value >= 0.0:
-            return u, value
-        if not lam <= 1e300:  # NaN included, which no step moves
-            raise InfeasibleError("no multiplier meets the robust constraint")
-        lam, step = lam + step, 2.0 * step
-
-
 def _ball_root(p: float, al: list, ul: list, theta: float, norm_a: float,
-               g0: float) -> tuple[float, Callable[[float], list]]:
-    """Dual root of the ball route without a box, and its prox, in
-    mu = lam * ||a||.
+               g0: float) -> tuple[list, float]:
+    """The answer of the ball route without a box and its margin, from its
+    dual root in mu = lam * ||a||.
 
     With d = a / ||a||, u(mu) is block soft thresholding of v = u0 + mu * d
     by mu * theta: u = c * v with c = max(0, 1 - mu * theta / ||v||).  Its
     margin needs only two coordinates of v: t = d @ v = d @ u0 + mu and
     ||v|| = hypot(t, r), r the part of u0 across a.  So
-    g(mu) = p + ||a|| * c * (t - theta * ||v||) and its slope cost O(1) per
-    evaluation.  In mu, ||a|| enters only as that factor: no square of it
-    is formed, so nothing overflows with finite data, and scaling p and a
-    by a power of 2 scales g and leaves the search's iterates as they are.
+    g(mu) = p + ||a|| * c * w, w = t - theta * ||v||, and its slope cost
+    O(1) per evaluation; for t > 0, w is taken as
+    (1 - theta) * ||v|| - r^2 / (||v|| + t), since t - ||v|| cancels where
+    t is near ||v|| (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, ch. 1).  In mu, ||a|| enters only as that factor: no
+    square of it is formed, so nothing overflows with finite data, and
+    scaling p and a by a power of 2 scales g and leaves the search's
+    iterates as they are.
     """
     d = [x / norm_a for x in al]
     t0 = _dot(d, ul)
@@ -279,21 +258,22 @@ def _ball_root(p: float, al: list, ul: list, theta: float, norm_a: float,
     def gd(mu):
         t = t0 + mu
         n, k = math.hypot(t, r), mu * theta
-        if n <= k:
-            return p, 0.0
-        c, w = 1.0 - k / n, t - theta * n
+        if n <= k:  # u = 0, whose margin is p
+            return p, 0.0, None if p < 0.0 else [0.0] * len(d), p
+        c = 1.0 - k / n
+        if t > 0.0:  # w and 1 - theta * t / n without the cancellation of t - n
+            e = r * (r / (n + t))
+            w, f = (1.0 - theta) * n - e, ((1.0 - theta) * t + e) / n
+        else:
+            w, f = t - theta * n, 1.0 - theta * t / n
         dc = -theta / n * (1.0 - mu / n * (t / n))
-        return p + norm_a * (c * w), norm_a * (dc * w + c * (1.0 - theta * t / n))
+        g, slope = p + norm_a * (c * w), norm_a * (dc * w + c * f)
+        if g < 0.0:
+            return g, slope, None, g
+        u = [c * (x + mu * y) for x, y in zip(ul, d)]
+        return g, slope, u, _ball_margin(p, al, theta, norm_a, u)
 
-    def shrink(mu):
-        v = [x + mu * y for x, y in zip(ul, d)]
-        k, norm_v = mu * theta, math.hypot(*v)
-        if norm_v <= k:
-            return [0.0] * len(v)
-        c = 1.0 - k / norm_v
-        return [x * c for x in v]
-
-    return _newton_root(gd, g0, -g0 / norm_a), shrink
+    return _newton_root(gd, g0, -g0 / norm_a)
 
 
 def _box_reach(a: list, ub: list, kappa: float) -> float:
@@ -339,46 +319,61 @@ def _segment_root(clamped: float, free: float, k: float, t: float) -> float:
     return x
 
 
-def _newton_root(gd: Callable[[float], tuple[float, float]], g0: float, y: float) -> float:
-    """An iterate hi at the root of the nondecreasing g with g(hi) >= 0,
-    given g(0) = g0 < 0 and a first point y > 0; gd(lam) returns g(lam)
-    and its slope.  hi is the latest point with g >= 0 that gd evaluated.
+def _newton_root(gd: Callable[[float], tuple], g0: float, y: float) -> tuple[list, float]:
+    """The route's answer at the root of its nondecreasing g, and the
+    answer's margin >= 0, given g(0) = g0 < 0 and a first point y > 0.
+
+    u(lam), the prox of the route's penalty plus the box at u0 + lam * a,
+    minimizes ||u - u0||^2 / 2 - lam * margin(u) over the input set, so
+    g(lam) = margin(u(lam)), minus the derivative of the concave dual, is
+    continuous and nondecreasing, and u at its root is the answer.  The
+    routes evaluate g on plain floats, in lam times a scale of a, on a
+    over that scale: `_ball_root`, `_boxed_ball_root`, and the split
+    route's own g in `filter_qp_channels`.  gd(lam) returns g(lam), its
+    slope, and, where g >= 0, u(lam) and its margin (else None and g).  A
+    point is certified where that margin is >= 0; one whose margin is
+    below 0 counts as below the root, with the margin as its value.  On
+    the split route g is that margin.
 
     After y, each step is Newton's from the latest point, and a step that
-    rounds to nothing moves one ulp.  The search stops at the first
-    iterate with g >= 0 whose own Newton step is converged (at most 1e-15
-    of it), or where g is 0, or once a root bracket of relative width
-    1e-15 closes.  With no upper end yet, a step that does not move up (g
-    flat, or a step back) doubles lam instead.  After that, a step that
-    leaves the bracket, or one that follows two crossings of the root
-    which did not halve the bracket (Newton cycling about a kink; the step
-    that closes the bracket is not a crossing), takes the Illinois secant,
-    or bisection when that leaves the bracket too.
+    rounds to nothing moves one ulp.  The search returns the answer at the
+    first certified point whose own Newton step is converged (at most
+    1e-15 of it), or where g is 0, or at the bracket's certified end once
+    a root bracket of relative width 1e-15 (or one subnormal step)
+    closes.  With no upper end yet, a step that does not move up (g flat,
+    or a step back) doubles lam instead.  After that, a step that leaves
+    the bracket, or one that follows two crossings of the root which did
+    not halve the bracket (Newton cycling about a kink; the step that
+    closes the bracket is not a crossing), takes the Illinois secant, or
+    bisection when that leaves the bracket too.  Doubling past 1e300, or
+    400 points without a stop, raises FilterError: neither shows that no
+    input is safe.
     """
     inf = math.inf
-    lo, hi = 0.0, inf
+    lo, hi, ans = 0.0, inf, None
     flo, fhi, side = g0, inf, -1  # the secant's values; Illinois halves the end kept twice
     width, crossed = inf, False  # the bracket's width, and whether a step crossed the root
     y = max(y, 1e-300)
     for i in range(400):  # a bound only
         x = y
-        gx, dx = gd(x)
-        if gx >= 0.0:
-            if gx <= 1e-15 * x * dx:  # its own step is converged, or g = 0
-                return x
+        gx, dx, u, value = gd(x)
+        if value >= 0.0:
+            if gx <= 1e-15 * x * dx:  # converged, or g <= 0 (a flat boxed g)
+                return u, value
             if side > 0:
                 flo *= 0.5
             cross, side = side < 0, 1
-            hi, fhi = x, gx
+            hi, fhi, ans = x, gx, (u, value)
         else:
             if side < 0:
                 fhi *= 0.5
             cross, side = side > 0, -1
+            gx = value
             if not gx < 0.0:  # NaN (overflow) is unmet, with no slope to follow
                 gx, dx = -inf, 0.0
             lo, flo = x, gx
-        if hi < inf and hi - lo <= 1e-15 * hi:
-            return hi
+        if hi < inf and hi - lo <= 1e-15 * hi + 5e-324:  # or one subnormal step wide
+            return ans
         cycling = crossed and cross and hi - lo > 0.5 * width
         crossed, width = cross and width < inf, hi - lo
         step = -gx / dx if dx > 0.0 else math.nan
@@ -388,19 +383,20 @@ def _newton_root(gd: Callable[[float], tuple[float, float]], g0: float, y: float
         if hi == inf:
             if not lo < y:
                 if lo > 1e300:
-                    raise InfeasibleError("no multiplier meets the robust constraint")
+                    break
                 y = 2.0 * lo
         elif cycling or not (lo < y < hi and i < 99):
             y = (lo * fhi - hi * flo) / (fhi - flo)
             if not (lo < y < hi and i < 99):
                 y = 0.5 * (lo + hi)
-    return hi
+    raise FilterError("root search did not converge")
 
 
 def _boxed_ball_root(p: float, al: list, ul: list, theta: float, norm_a: float, bl: list,
-                     g0: float) -> tuple[float, Callable[[float], list]]:
-    """Dual root of the ball route under the box |u_i| <= ub_i, and its
-    prox, in mu = lam * ||a|| on d = a / ||a|| as in `_ball_root`.
+                     g0: float) -> tuple[list, float]:
+    """The answer of the ball route under the box |u_i| <= ub_i and its
+    margin, from its dual root in mu = lam * ||a|| on d = a / ||a|| as in
+    `_ball_root`.
 
     The prox of mu * theta * ||u|| plus the box at v = u0 + mu * d is 0
     when ||v|| <= mu * theta, else clip(s * v) with s in (0, 1] the root of
@@ -426,12 +422,11 @@ def _boxed_ball_root(p: float, al: list, ul: list, theta: float, norm_a: float, 
     channel frees, at a mu in closed form; there the slope reported sends
     Newton just past that mu, in one step however short the search's mu is
     beside it.  The first point is -g0 / ||a||, or just past a flat start
-    if that is later.  Where every channel is clamped, u is a corner of the
-    box, and g is taken as its margin (`_ball_margin`), the value that
-    certifies it: the closed form may round below 0 where that margin, the
-    box's best, is >= 0, and so leave the search no root.  Each evaluation
-    starts `_segment_root` from the latest evaluation's s, and the prox at
-    the root evaluates g there once more for its s.
+    if that is later.  Where g is flat with no such end, no step raises
+    it, so gd hands u and its margin there as well as where g >= 0: at a
+    corner of the box the closed form may round below 0 where the margin,
+    the box's best, is >= 0.  Each evaluation starts `_segment_root` from
+    the latest evaluation's s.
     """
     rows = list(zip(ul, [x / norm_a for x in al], bl))
     # the latest clamped set: its rows, (c u0_i, c d_i, ub_i) with c the sign
@@ -485,8 +480,9 @@ def _boxed_ball_root(p: float, al: list, ul: list, theta: float, norm_a: float, 
         return 0.0
 
     def gd(mu):
-        """g(mu) and its slope; s at mu (0 where u = 0) goes to s0, the
-        set clamped there and its sums to the nonlocals."""
+        """g(mu), its slope, and where g >= 0 or flat for good u(mu) and
+        its margin; s at mu (0 where u = 0) goes to s0, the set clamped
+        there and its sums to the nonlocals."""
         nonlocal s0
         k, s = mu * theta, s0 or 1.0
         rebuilt = False
@@ -520,15 +516,11 @@ def _boxed_ball_root(p: float, al: list, ul: list, theta: float, norm_a: float, 
             clamp(mu, s)
             rebuilt = True
         s0 = s
-        if s == 0.0:
-            return p, 0.0
+        if s == 0.0:  # u = 0, whose margin is p
+            return p, 0.0, None if p < 0.0 else [0.0] * len(rows), p
         a_v = norm_f * t
         n = math.sqrt(clamped + s * s * free)  # ||u||
-        if frows:
-            g = p + norm_a * ((a_c + s * a_v) - theta * n)
-        else:  # u is a corner of the box, and g its margin as the certificate takes it
-            g = _ball_margin(p, al, theta, norm_a,
-                             [max(-b, min(b, s * (x + mu * y))) for x, y, b in rows])
+        g = p + norm_a * ((a_c + s * a_v) - theta * n)
         if theta == 0.0 or n == 0.0:
             slope = norm_a * (norm_f * norm_f)
         else:
@@ -537,14 +529,13 @@ def _boxed_ball_root(p: float, al: list, ul: list, theta: float, norm_a: float, 
             slope = norm_a * (ds * (a_v - theta * e) + s * (norm_f * norm_f - theta * w))
         if slope == 0.0 and g < 0.0 and (nxt := flat_end(mu)):
             slope = -g / (nxt - mu)  # the step to just past the flat stretch
-        return g, slope
-
-    def shrink(mu):
-        gd(mu)
-        return [max(-b, min(b, s0 * (x + mu * y))) for x, y, b in rows]
+        if g < 0.0 and slope > 0.0:
+            return g, slope, None, g
+        u = [max(-b, min(b, s * (x + mu * y))) for x, y, b in rows]
+        return g, slope, u, _ball_margin(p, al, theta, norm_a, u)
 
     clamp(0.0, 1.0)
-    return _newton_root(gd, g0, max(-g0 / norm_a, flat_end(0.0))), shrink
+    return _newton_root(gd, g0, max(-g0 / norm_a, flat_end(0.0)))
 
 
 def filter_scalar(p, a, u0, theta, u_max=None) -> FilterResult:
@@ -619,10 +610,9 @@ def filter_socp(p, a, u0, theta, u_max=None) -> FilterResult:
         ans, value = _box_limit(u, value, p, margin)
     if ans is None:
         if ub is None:
-            mu, shrink = _ball_root(p, al, ul, theta, norm_a, value)
+            ans, value = _ball_root(p, al, ul, theta, norm_a, value)
         else:
-            mu, shrink = _boxed_ball_root(p, al, ul, theta, norm_a, ub, value)
-        ans, value = _dual_root(mu, shrink, margin)
+            ans, value = _boxed_ball_root(p, al, ul, theta, norm_a, ub, value)
     return FilterResult(np.array(ans), value, math.hypot(*map(sub, ans, ul)) > TOL_FEAS)
 
 
@@ -652,11 +642,12 @@ def filter_qp_channels(p, a, u0, theta, u_max=None) -> FilterResult:
         s = max(map(abs, al))
         rows = [(x, y / s, l / s, b) for x, y, l, b in zip(ul, al, load, ub or [math.inf] * m)]
 
-        def prox(mu):
-            """u, soft thresholding of u0 + mu * a / s by mu * theta_i |a_i| / s
-            and then the clip, and the slope of g = margin(u) in mu: channel i
-            adds s d_i^2, d_i = (a_i -+ theta_i |a_i|) / s on either side of
-            0, while strictly inside its range, and nothing clamped or at 0."""
+        def gd(mu):
+            """(g, its slope in mu, u, g): u is the soft thresholding of
+            u0 + mu * a / s by mu * theta_i |a_i| / s and then the clip, and
+            g = margin(u), the certificate.  Channel i adds s d_i^2 to the
+            slope, d_i = (a_i -+ theta_i |a_i|) / s on either side of 0, while
+            strictly inside its range, and nothing clamped or at 0."""
             u, slope = [], 0.0
             for x, y, l, b in rows:
                 v, k = x + mu * y, mu * l
@@ -669,15 +660,11 @@ def filter_qp_channels(p, a, u0, theta, u_max=None) -> FilterResult:
                     d = y - l if w > 0.0 else y + l
                     slope += d * d
                 u.append(w)
-            return u, slope * s
-
-        def gd(mu):
-            u, slope = prox(mu)
-            return margin(u), slope
+            g = margin(u)
+            return g, slope * s, u, g
 
         # from -g(0) / ||a||^2 in lam
-        mu = _newton_root(gd, value, -value / s / math.hypot(*[r[1] for r in rows]) ** 2)
-        ans, value = _dual_root(mu, lambda mu: prox(mu)[0], margin)
+        ans, value = _newton_root(gd, value, -value / s / math.hypot(*[r[1] for r in rows]) ** 2)
     return FilterResult(np.array(ans), value, math.hypot(*map(sub, ans, ul)) > TOL_FEAS)
 
 

@@ -965,7 +965,11 @@ def test_boxed_ball_search_breaks_a_newton_cycle(monkeypatch):
 
 def test_newton_root_on_a_smooth_and_a_kinked_g():
     # arctan(lam - c) flattens away from its root, where Newton overshoots;
-    # the kinked g changes slope by 1e+-3 at its root c
+    # the kinked g changes slope by 1e+-3 at its root c.  Where g >= 0, gd
+    # hands [lam] as the answer with its margin: g itself from `end` on,
+    # and below it a fixed deficit, -g(end), over the stretch [c, end) of
+    # 16 ulps, about the rounding bound of a float margin on six channels,
+    # where g is already >= 0 but the margin does not certify
     def kinked(c, k):
         return lambda x: (x - c, 1.0) if x < c else (k * (x - c), k)
 
@@ -973,17 +977,66 @@ def test_newton_root_on_a_smooth_and_a_kinked_g():
         gs = {"arctan": lambda x, c=c: (math.atan(x - c), 1.0 / (1.0 + (x - c) ** 2)),
               "kink 1e-3": kinked(c, 1e-3), "kink 1e3": kinked(c, 1e3)}
         for name, g in gs.items():
-            for y in 10.0 ** np.arange(-3, 5):
-                evals = []
+            for end in (c, c + 16.0 * math.ulp(c)):
+                for y in 10.0 ** np.arange(-3, 5):
+                    evals = []
 
-                def gd(lam, g=g):
-                    evals.append(lam)
-                    return g(lam)
+                    def gd(lam, g=g, end=end):
+                        evals.append(lam)
+                        gx, dx = g(lam)
+                        if gx < 0.0:
+                            return gx, dx, None, gx
+                        return gx, dx, [lam], gx if lam >= end else -g(end)[0]
 
-                root = rcbf_shield.filters._newton_root(gd, g(0.0)[0], float(y))
-                case = (name, c, y, root, len(evals))
-                assert g(root)[0] >= 0.0 and abs(root - c) <= 1e-12 * c, case
-                assert len(evals) <= 25, case
+                    (root,), value = rcbf_shield.filters._newton_root(gd, g(0.0)[0], float(y))
+                    case = (name, c, end, y, root, len(evals))
+                    assert value == g(root)[0] >= 0.0 and root >= end, case
+                    assert abs(root - c) <= 1e-12 * c, case
+                    assert len(evals) <= 25, case
+
+
+def test_newton_root_that_never_certifies_raises_a_plain_filter_error():
+    # a g that stays below 0 and flat doubles lam past 1e300, and a margin
+    # that stays below 0 where g >= 0 runs the search out of steps: neither
+    # shows that no input is safe, so neither is an InfeasibleError
+    never = [lambda lam: (-1.0, 0.0, None, -1.0),
+             lambda lam: (lam - 1.0, 1.0, None, lam - 1.0) if lam < 1.0
+             else (lam - 1.0, 1.0, [lam], -1.0)]
+    for gd in never:
+        with pytest.raises(FilterError, match="did not converge") as err:
+            rcbf_shield.filters._newton_root(gd, -1.0, 0.5)
+        assert not isinstance(err.value, InfeasibleError)
+
+
+def test_ball_route_answers_where_w_cancels_near_theta_one():
+    # feasible (u0 + t a / ||a|| is safe from t ~ 1 on the first), yet the
+    # closed-form g took w = t - theta ||v|| with t ~ ||v||: it cancelled
+    # and sat one ulp of p below 0 for thousands of ulps of mu, until the
+    # search ran out of steps and the route raised InfeasibleError
+    cases = [
+        (-9.583835255715457e-09,
+         [-1.6447225662454777e-05, 1.263822046891847e-06, 6.106721121738712e-06,
+          5.685963419137721e-07, 8.860639831691738e-06],
+         [-0.0005347902813436868, 0.0005448554250364343, -0.00017406099470670705,
+          0.0007298578831204773, 0.0006457531583523582], 0.9992926285250259),
+        (-1.8003339216508057e-16,
+         [-1.5636082909803754e-12, 5.8868660812907284e-12, 2.03742419648717e-11,
+          -1.0656767812629343e-12, -1.7631302605688764e-11],
+         [-2.1848238282275277e-07, 1.594695301656103e-06, 2.4400856900527216e-06,
+          3.880852500650075e-07, 8.842215346866538e-07], 0.9999726833473151),
+    ]
+    for p, a, u0, theta in cases:
+        a, u0 = np.array(a), np.array(u0)
+        res = filter_socp(p, a, u0, theta)
+        assert res.margin >= 0.0 and res.margin == robust_margin(p, a, res.u, theta)
+        # optimal by the KKT conditions: the constraint is active, and u - u0
+        # is a positive multiple of the margin's gradient at u (the solver
+        # fails on the second instance, at ~1e-11 of a's scale)
+        norm_a, norm_u = np.linalg.norm(a), np.linalg.norm(res.u)
+        assert res.margin <= 1e-15 * (abs(p) + np.abs(a) @ np.abs(res.u) + theta * norm_a * norm_u)
+        grad, step = a - theta * norm_a * res.u / norm_u, res.u - u0
+        lam = step @ grad / (grad @ grad)
+        assert lam > 0.0 and np.linalg.norm(step - lam * grad) <= 1e-9 * np.linalg.norm(step)
 
 
 def test_cone_routes_keep_their_argument_errors():
