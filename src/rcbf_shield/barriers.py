@@ -21,8 +21,10 @@ is supplied.
 Every callable takes a stack of states, shape (..., n), and returns each
 state's own value: f and grad h an (..., n) array, g an (..., n, m) array,
 h an (..., ) array.  One state is the shape (n,).  The degree-2 term
-evaluates the 2n points of its stencil as one (..., 2n, n) stack, and a
-caller may pass a stack of states to `barrier_terms` itself.  Each
+evaluates f and grad h once, on x and the 2n points of its stencil as
+one (..., 2n + 1, n) stack: row 0 is x itself, so it gives f(x),
+grad h(x) and psi(x) = L_f h(x) with the bits of the one-state calls.
+A caller may pass a stack of states to `barrier_terms` itself.  Each
 row of a stack gets the bits of the one-state product (`_matvec`,
 `_rowdot`, `_vecmat`); one state keeps `ndarray.dot`, which costs a third
 of a stacked `np.matmul`.
@@ -30,8 +32,9 @@ of a stacked `np.matmul`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -155,30 +158,55 @@ def _vecmat(x: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _stencil(n: int) -> np.ndarray:
+def _stencil(n: int, center: bool) -> np.ndarray:
     """The steps of the 2n stencil points per unit eps: the rows of I, then
-    of -I (whose zeros are -0.0)."""
+    of -I (whose zeros are -0.0), led by a row of zeros for the center if
+    center (`_stencil_stack` puts x itself there)."""
     eye = np.eye(n)
-    out = np.concatenate((eye, -eye))
+    out = np.concatenate((np.zeros((int(center), n)), eye, -eye))
     out.flags.writeable = False
     return out
 
 
+def _stencil_stack(x: np.ndarray, center: bool = False):
+    """The 2n stencil points of each state of the stack x (..., n),
+    x + eps e_i and then x + -eps e_i, as one (..., 2n, n) stack, led by x
+    itself if center: (..., 2n + 1, n).  Also 2 eps, the width of the
+    differences (`_differences`): eps = 1e-6 * (1 + ||x||) per state,
+    ||x|| = sqrt(x @ x) as np.linalg.norm takes it, a float for one state
+    (math.sqrt is the IEEE square root, as np.sqrt is).
+
+    Adding +0.0 turns -0.0 into +0.0 on the other coordinates of the first
+    n, and adding -0.0 keeps every zero's sign on the last n, as
+    subtracting +0.0 would; the center is copied, so it keeps its own.
+    """
+    steps = _stencil(x.shape[-1], center)
+    if x.ndim == 1:
+        eps = 1e-6 * (1.0 + math.sqrt(x.dot(x)))
+        stack, width = eps * steps, 2.0 * eps
+    else:
+        eps = 1e-6 * (1.0 + np.sqrt(_rowdot(x, x)))
+        stack, width = eps[..., None, None] * steps, (2.0 * eps)[..., None]
+    stack += x[..., None, :]
+    if center:
+        stack[..., 0, :] = x
+    return stack, width
+
+
+def _differences(values: np.ndarray, width) -> np.ndarray:
+    """(v(x + eps e_i) - v(x - eps e_i)) / (2 eps) from the values
+    (..., 2n) or (..., 2n + 1) of v on a `_stencil_stack` and its width."""
+    n = values.shape[-1] // 2
+    return (values[..., -2 * n:-n] - values[..., -n:]) / width
+
+
 def _numeric_gradient(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray
                       ) -> np.ndarray:
-    """Central differences (func(x + eps e_i) - func(x - eps e_i)) / (2 eps)
-    at each state of the stack x (..., n), eps = 1e-6 * (1 + ||x||) per
-    state, ||x|| = sqrt(x @ x) as np.linalg.norm takes it.
-
-    func evaluates the 2n points of each state as one (..., 2n, n) stack,
-    x + eps I and then x + -eps I.  Adding +0.0 turns -0.0 into +0.0 on the
-    other coordinates of the first n, and adding -0.0 keeps every zero's
-    sign on the last n, as subtracting +0.0 would.
-    """
-    n = x.shape[-1]
-    eps = 1e-6 * (1.0 + np.sqrt(_rowdot(x, x)))
-    values = func(x[..., None, :] + eps[..., None, None] * _stencil(n))
-    return (values[..., :n] - values[..., n:]) / (2.0 * eps)[..., None]
+    """Central differences of func at each state of the stack x (..., n),
+    func evaluated once, on the (..., 2n, n) stack of the stencil points
+    (`_stencil_stack`)."""
+    stack, width = _stencil_stack(x)
+    return _differences(func(stack), width)
 
 
 def gradient(barrier: Barrier, x) -> np.ndarray:
@@ -216,26 +244,25 @@ def barrier_terms(barrier: Barrier, dyn: Dynamics,
     same x evaluates none of them again.
     """
     x = np.asarray(x, dtype=float)
-    fx, gx, hx = dyn.f(x), dyn.g(x), barrier.h(x)
-    grad = gradient(barrier, x)
+    gx, hx = dyn.g(x), barrier.h(x)
     if barrier.degree == 1:
+        fx, grad = dyn.f(x), gradient(barrier, x)
         eta = barrier.class_k if barrier.class_k is not None else linear_class_k()
         p = _rowdot(grad, fx) + eta(hx)
         a = uncertainty.scale * _vecmat(grad, gx)
     else:
         # degree 2: differentiate psi = grad_h @ f by central differences
         # (its analytic gradient would need the Hessian of h, which callers
-        # are not asked to supply), psi evaluated on the stencil's stack
-        f, grad_h = dyn.f, barrier.grad
-        if grad_h is None:
-            grad_h = partial(_numeric_gradient, barrier.h)
-
-        def psi(y):
-            return _rowdot(np.asarray(grad_h(y), dtype=float), f(y))
-
-        grad_psi = _numeric_gradient(psi, x)
+        # are not asked to supply).  f and grad h run once, on x and its
+        # stencil as one stack, whose row 0, x itself, gives f(x), grad h(x)
+        # and psi(x) = L_f h(x)
+        stack, width = _stencil_stack(x, center=True)
+        fs, grads = dyn.f(stack), gradient(barrier, stack)
+        psi = _rowdot(grads, fs)
+        fx, grad = fs[..., 0, :], grads[..., 0, :]
+        grad_psi = _differences(psi, width)
         k0, k1 = barrier.gains
-        p = _rowdot(grad_psi, fx) + k1 * _rowdot(grad, fx) + k0 * hx
+        p = _rowdot(grad_psi, fx) + k1 * psi[..., 0] + k0 * hx
         a = uncertainty.scale * _vecmat(grad_psi, gx)
     a = np.array(a, dtype=float, ndmin=1, copy=None)
     if values:

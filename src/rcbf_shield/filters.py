@@ -39,11 +39,13 @@ InfeasibleError: that verdict comes only from a = 0, from the box (see
 baseline, where products of the data overflow, raises FilterError.
 Numpy's `a @ u` and norms may read the margin below 0, by at most
 2 (m + 2) 2^-53 T, T = |p| + sum_i |a_i u_i| + the penalty term (the two
-evaluations' summed error bounds).  A filter returns u, that margin and
-whether u moved; the worst-case w* at u is `sectors.worst_case_input`
-(or `per_channel_worst_case`).  No filter runs the interior-point
-solver: it is the self-checks' oracle, on the paper's min-norm programs
-in SOCP form (`verify.ball_program` and `verify.split_program`).
+evaluations' summed error bounds).  Within that band of the root the
+search stops at the first certified point (`_newton_root`).  A filter
+returns u, that margin and whether u moved; the worst-case w* at u is
+`sectors.worst_case_input` (or `per_channel_worst_case`).  No filter
+runs the interior-point solver: it is the self-checks' oracle, on the
+paper's min-norm programs in SOCP form (`verify.ball_program` and
+`verify.split_program`).
 
 Optionally a symmetric box |u_i| <= u_max_i restricts the input set;
 infeasibility against the box is raised as an error, never relaxed.
@@ -142,12 +144,21 @@ def _split_margin(p: float, al: list, load: list, u: list) -> float:
     return p + _dot(al, u) - _dot(load, map(abs, u))
 
 
+_FLOAT = np.dtype(float)
+
+
+def _floats(x) -> np.ndarray:
+    """np.atleast_1d(np.asarray(x, dtype=float)); x itself, with no numpy
+    call, when it is a 1-D float64 ndarray."""
+    if type(x) is np.ndarray and x.dtype is _FLOAT and x.ndim == 1:
+        return x
+    return np.array(x, dtype=float, ndmin=1, copy=None)
+
+
 def _vectors(a, u, name: str = "u") -> tuple[list, list]:
     """a and u as lists of floats; a ValueError, which calls u `name`,
     unless they are 1-D of one shape (a scalar is one channel)."""
-    # np.atleast_1d(np.asarray(x, dtype=float)) in one call
-    a = np.array(a, dtype=float, ndmin=1, copy=None)
-    u = np.array(u, dtype=float, ndmin=1, copy=None)
+    a, u = _floats(a), _floats(u)
     if a.ndim != 1 or u.shape != a.shape:
         raise ValueError(f"shape mismatch: a {a.shape}, {name} {u.shape}")
     return a.tolist(), u.tolist()
@@ -158,9 +169,14 @@ def _inputs(p, a, u0) -> tuple[float, list, list]:
     are 1-D of one shape and all data is finite."""
     p = float(p)
     al, ul = _vectors(a, u0, "u0")
-    if not (math.isfinite(p) and all(map(math.isfinite, al + ul))):
-        raise ValueError("constraint data must be finite")
+    _check_finite([p] + al + ul)
     return p, al, ul
+
+
+def _check_finite(values) -> None:
+    """A ValueError unless every value of the constraint data is finite."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError("constraint data must be finite")
 
 
 def _scalar_theta(theta) -> float:
@@ -254,12 +270,13 @@ def _ball_root(p: float, al: list, ul: list, theta: float, norm_a: float,
     d = [x / norm_a for x in al]
     t0 = _dot(d, ul)
     r = math.hypot(*[x - t0 * y for x, y in zip(ul, d)])
+    unit, load = _band_unit(len(d)), (1.0 + theta) * norm_a
 
     def gd(mu):
         t = t0 + mu
         n, k = math.hypot(t, r), mu * theta
         if n <= k:  # u = 0, whose margin is p
-            return p, 0.0, None if p < 0.0 else [0.0] * len(d), p
+            return p, 0.0, None if p < 0.0 else [0.0] * len(d), p, unit * abs(p)
         c = 1.0 - k / n
         if t > 0.0:  # w and 1 - theta * t / n without the cancellation of t - n
             e = r * (r / (n + t))
@@ -268,10 +285,11 @@ def _ball_root(p: float, al: list, ul: list, theta: float, norm_a: float,
             w, f = t - theta * n, 1.0 - theta * t / n
         dc = -theta / n * (1.0 - mu / n * (t / n))
         g, slope = p + norm_a * (c * w), norm_a * (dc * w + c * f)
+        band = unit * (abs(p) + load * (c * n))
         if g < 0.0:
-            return g, slope, None, g
+            return g, slope, None, g, band
         u = [c * (x + mu * y) for x, y in zip(ul, d)]
-        return g, slope, u, _ball_margin(p, al, theta, norm_a, u)
+        return g, slope, u, _ball_margin(p, al, theta, norm_a, u), band
 
     return _newton_root(gd, g0, -g0 / norm_a)
 
@@ -319,6 +337,12 @@ def _segment_root(clamped: float, free: float, k: float, t: float) -> float:
     return x
 
 
+def _band_unit(m: int) -> float:
+    """The margin's rounding band per unit of T on m channels (see the
+    module docstring): 2 (m + 2) 2^-53."""
+    return (m + 2) * 2.0 ** -52
+
+
 def _newton_root(gd: Callable[[float], tuple], g0: float, y: float) -> tuple[list, float]:
     """The route's answer at the root of its nondecreasing g, and the
     answer's margin >= 0, given g(0) = g0 < 0 and a first point y > 0.
@@ -330,22 +354,28 @@ def _newton_root(gd: Callable[[float], tuple], g0: float, y: float) -> tuple[lis
     routes evaluate g on plain floats, in lam times a scale of a, on a
     over that scale: `_ball_root`, `_boxed_ball_root`, and the split
     route's own g in `filter_qp_channels`.  gd(lam) returns g(lam), its
-    slope, and, where g >= 0, u(lam) and its margin (else None and g).  A
+    slope, where g >= 0 u(lam) and its margin (else None and g), and the
+    band, 2 (m + 2) 2^-53 T with T = |p| + (1 + theta) ||a|| ||u|| on the
+    ball routes and |p| + sum_i (|a_i| + theta_i |a_i|) |u_i| on the split
+    route: the bound of the module docstring on the margin's rounding.  A
     point is certified where that margin is >= 0; one whose margin is
     below 0 counts as below the root, with the margin as its value.  On
     the split route g is that margin.
 
     After y, each step is Newton's from the latest point, and a step that
-    rounds to nothing moves one ulp.  The search returns the answer at the
-    first certified point whose own Newton step is converged (at most
-    1e-15 of it), or where g is 0, or at the bracket's certified end once
-    a root bracket of relative width 1e-15 (or one subnormal step)
-    closes.  With no upper end yet, a step that does not move up (g flat,
-    or a step back) doubles lam instead.  After that, a step that leaves
-    the bracket, or one that follows two crossings of the root which did
-    not halve the bracket (Newton cycling about a kink; the step that
-    closes the bracket is not a crossing), takes the Illinois secant, or
-    bisection when that leaves the bracket too.  Doubling past 1e300, or
+    rounds to nothing moves one ulp.  Inside the band the margin's rounding
+    decides the sign: a point whose margin is below 0 by at most the band
+    steps to where g is about half the band, not to g = 0.  The search
+    returns the answer at the first certified point whose own Newton step
+    is converged (at most 1e-15 of it), or where g is at most the band (0
+    included), or at the bracket's certified end once a root bracket of
+    relative width 1e-15 (or one subnormal step) closes.  With no upper
+    end yet, a step that does not move up (g flat, or a step back)
+    doubles lam instead.  After that, a step that leaves the bracket, or
+    one that follows two crossings of the root which did not halve the
+    bracket (Newton cycling about a kink; the step that closes the
+    bracket is not a crossing), takes the Illinois secant, or bisection
+    when that leaves the bracket too.  Doubling past 1e300, or
     400 points without a stop, raises FilterError: neither shows that no
     input is safe.
     """
@@ -356,9 +386,11 @@ def _newton_root(gd: Callable[[float], tuple], g0: float, y: float) -> tuple[lis
     y = max(y, 1e-300)
     for i in range(400):  # a bound only
         x = y
-        gx, dx, u, value = gd(x)
+        gx, dx, u, value, band = gd(x)
+        target = 0.0  # the value Newton steps to
         if value >= 0.0:
-            if gx <= 1e-15 * x * dx:  # converged, or g <= 0 (a flat boxed g)
+            # within the band (g <= 0 included: a flat boxed g), or converged
+            if gx <= band or gx <= 1e-15 * x * dx:
                 return u, value
             if side > 0:
                 flo *= 0.5
@@ -371,12 +403,14 @@ def _newton_root(gd: Callable[[float], tuple], g0: float, y: float) -> tuple[lis
             gx = value
             if not gx < 0.0:  # NaN (overflow) is unmet, with no slope to follow
                 gx, dx = -inf, 0.0
+            elif gx >= -band:
+                target = 0.5 * band
             lo, flo = x, gx
         if hi < inf and hi - lo <= 1e-15 * hi + 5e-324:  # or one subnormal step wide
             return ans
         cycling = crossed and cross and hi - lo > 0.5 * width
         crossed, width = cross and width < inf, hi - lo
-        step = -gx / dx if dx > 0.0 else math.nan
+        step = (target - gx) / dx if dx > 0.0 else math.nan
         y = x + step
         if y == x:
             y = math.nextafter(x, inf if step > 0.0 else -inf)
@@ -434,6 +468,7 @@ def _boxed_ball_root(p: float, al: list, ul: list, theta: float, norm_a: float, 
     # and the set test take up to sign; and the sums
     crows = frows = clamped = a_c = norm_f = t0 = r = None
     s0 = 1.0  # s at the latest evaluation
+    unit, load = _band_unit(len(rows)), (1.0 + theta) * norm_a
 
     def take(cr, fr):
         """Make cr the clamped rows and fr the free ones, and their sums."""
@@ -517,10 +552,11 @@ def _boxed_ball_root(p: float, al: list, ul: list, theta: float, norm_a: float, 
             rebuilt = True
         s0 = s
         if s == 0.0:  # u = 0, whose margin is p
-            return p, 0.0, None if p < 0.0 else [0.0] * len(rows), p
+            return p, 0.0, None if p < 0.0 else [0.0] * len(rows), p, unit * abs(p)
         a_v = norm_f * t
         n = math.sqrt(clamped + s * s * free)  # ||u||
         g = p + norm_a * ((a_c + s * a_v) - theta * n)
+        band = unit * (abs(p) + load * n)
         if theta == 0.0 or n == 0.0:
             slope = norm_a * (norm_f * norm_f)
         else:
@@ -530,9 +566,9 @@ def _boxed_ball_root(p: float, al: list, ul: list, theta: float, norm_a: float, 
         if slope == 0.0 and g < 0.0 and (nxt := flat_end(mu)):
             slope = -g / (nxt - mu)  # the step to just past the flat stretch
         if g < 0.0 and slope > 0.0:
-            return g, slope, None, g
+            return g, slope, None, g, band
         u = [max(-b, min(b, s * (x + mu * y))) for x, y, b in rows]
-        return g, slope, u, _ball_margin(p, al, theta, norm_a, u)
+        return g, slope, u, _ball_margin(p, al, theta, norm_a, u), band
 
     clamp(0.0, 1.0)
     return _newton_root(gd, g0, max(-g0 / norm_a, flat_end(0.0)))
@@ -546,47 +582,54 @@ def filter_scalar(p, a, u0, theta, u_max=None) -> FilterResult:
     piecewise-linear constraint on either side of u = 0), so the closest
     feasible point is max(u_l, u0); a < 0 mirrors to an upper endpoint.
 
-    Past the checks it runs on plain floats.  The margin
-    (p + (a*u + 0.0)) - (theta*|u|)*|a| repeats the IEEE operations of
-    `robust_margin` on one channel (the sum runs from +0.0, and hypot of
-    one value is its |x|), so it equals that bit for bit.
+    Past the checks it runs on plain floats (`_interval`).
     """
     p, al, ul = _inputs(p, a, u0)
     theta = _scalar_theta(theta)
     if len(al) != 1:
         raise ValueError(f"interval route needs one channel, got {len(al)}")
-    (av,), (uv,) = al, ul
     bound = math.inf if u_max is None else _bounds(u_max, 1)[0]  # inf: no box
-    norm_a = abs(av)
+    u, value, altered = _interval(p, al[0], ul[0], theta, bound)
+    # positional: keywords cost a frozen dataclass another 0.5 us per call
+    return FilterResult(np.array([u]), value, altered)
 
-    def margin(v):
-        return (p + (av * v + 0.0)) - (theta * abs(v)) * norm_a
 
-    u = min(max(uv, -bound), bound)
-    if not margin(u) >= 0.0:
-        if av == 0.0:
+def _interval_margin(p: float, a: float, u: float, theta: float) -> float:
+    """`robust_margin` on one channel of floats, bit for bit: its IEEE
+    operations, (p + (a*u + 0.0)) - (theta*|u|)*|a|, as the sum runs from
+    +0.0 and hypot of one value is its |x|."""
+    return (p + (a * u + 0.0)) - (theta * abs(u)) * abs(a)
+
+
+def _interval(p: float, a: float, u0: float, theta: float, bound: float
+              ) -> tuple[float, float, bool]:
+    """`filter_scalar` on checked floats, bound = inf without a box: the
+    answer u, its margin and whether u moved."""
+    u = min(max(u0, -bound), bound)
+    value = _interval_margin(p, a, u, theta)
+    if not value >= 0.0:
+        if a == 0.0:
             raise InfeasibleError(
                 f"input direction vanished (a = 0) with negative drift term p = {p}",
                 degenerate=True)
-        lo_slope = -p / ((1.0 - theta) * av)  # binds where sign(u) == sign(a)
-        hi_slope = -p / ((1.0 + theta) * av)
-        if av > 0.0:
+        lo_slope = -p / ((1.0 - theta) * a)  # binds where sign(u) == sign(a)
+        hi_slope = -p / ((1.0 + theta) * a)
+        if a > 0.0:
             u_l = max(lo_slope, hi_slope)
             if u_l > bound:
                 raise InfeasibleError(
                     f"feasible interval [{u_l}, inf) lies outside the bound {bound}")
-            u = min(max(uv, max(u_l, -bound)), bound)
+            u = min(max(u0, max(u_l, -bound)), bound)
         else:
             u_h = min(lo_slope, hi_slope)
             if u_h < -bound:
                 raise InfeasibleError(
                     f"feasible interval (-inf, {u_h}] lies outside the bound {-bound}")
-            u = max(min(uv, min(u_h, bound)), -bound)
-    value = margin(u)
+            u = max(min(u0, min(u_h, bound)), -bound)
+        value = _interval_margin(p, a, u, theta)
     if math.isnan(value):  # an overflowing a * u or theta |u| |a|
         raise _overflow(p)
-    # positional: keywords cost a frozen dataclass another 0.5 us per call
-    return FilterResult(np.array([u]), value, abs(u - uv) > TOL_FEAS)
+    return u, value, abs(u - u0) > TOL_FEAS
 
 
 def filter_socp(p, a, u0, theta, u_max=None) -> FilterResult:
@@ -640,16 +683,20 @@ def filter_qp_channels(p, a, u0, theta, u_max=None) -> FilterResult:
         # the search runs in mu = lam * s on a / s, s = max_i |a_i|, where
         # neither ||a|| nor the slope overflows with finite data
         s = max(map(abs, al))
-        rows = [(x, y / s, l / s, b) for x, y, l, b in zip(ul, al, load, ub or [math.inf] * m)]
+        # the rows: u0_i, a_i / s, theta_i |a_i| / s, ub_i, and the band's
+        # (|a_i| + theta_i |a_i|) / s
+        rows = [(x, y / s, l / s, b, (abs(y) + l) / s)
+                for x, y, l, b in zip(ul, al, load, ub or [math.inf] * m)]
+        unit = _band_unit(m)
 
         def gd(mu):
-            """(g, its slope in mu, u, g): u is the soft thresholding of
-            u0 + mu * a / s by mu * theta_i |a_i| / s and then the clip, and
-            g = margin(u), the certificate.  Channel i adds s d_i^2 to the
-            slope, d_i = (a_i -+ theta_i |a_i|) / s on either side of 0, while
-            strictly inside its range, and nothing clamped or at 0."""
-            u, slope = [], 0.0
-            for x, y, l, b in rows:
+            """(g, its slope in mu, u, g, band): u is the soft thresholding
+            of u0 + mu * a / s by mu * theta_i |a_i| / s and then the clip,
+            and g = margin(u), the certificate.  Channel i adds s d_i^2 to
+            the slope, d_i = (a_i -+ theta_i |a_i|) / s on either side of 0,
+            while strictly inside its range, and nothing clamped or at 0."""
+            u, slope, size = [], 0.0, 0.0
+            for x, y, l, b, q in rows:
                 v, k = x + mu * y, mu * l
                 w = v - k if v > k else v + k if v < -k else 0.0
                 if w >= b:
@@ -659,9 +706,10 @@ def filter_qp_channels(p, a, u0, theta, u_max=None) -> FilterResult:
                 elif w:
                     d = y - l if w > 0.0 else y + l
                     slope += d * d
+                size += q * abs(w)
                 u.append(w)
             g = margin(u)
-            return g, slope * s, u, g
+            return g, slope * s, u, g, unit * (abs(p) + s * size)
 
         # from -g(0) / ||a||^2 in lam
         ans, value = _newton_root(gd, value, -value / s / math.hypot(*[r[1] for r in rows]) ** 2)

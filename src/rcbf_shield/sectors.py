@@ -214,9 +214,7 @@ def apply_nonlinearity(nl: SectorNonlinearity, bound: SectorBound, u,
 def worst_case_input(u, a, theta: float) -> np.ndarray:
     """Admissible w minimizing a @ (u + w): w* = -theta*||u|| * a / ||a||.
 
-    One channel runs on floats, ((-theta*|u|)*a)/|a|.  That is numpy's value
-    bit for bit wherever x * x neither underflows nor overflows: there
-    sqrt(x * x), which np.linalg.norm takes on one element, is |x|.
+    One channel runs on floats (`_channel_worst_case`).
     """
     u = np.array(u, dtype=float, ndmin=1, copy=None)
     a = np.array(a, dtype=float, ndmin=1, copy=None)
@@ -224,14 +222,21 @@ def worst_case_input(u, a, theta: float) -> np.ndarray:
         raise ValueError(f"uncertainty level must satisfy 0 <= theta < 1, got {theta}")
     if u.shape == a.shape == (1,):
         uv, av = u.item(), a.item()
-        norm_a = abs(av)
-        if norm_a == 0.0:
+        if av == 0.0:
             raise DegenerateGradientError("constraint direction a is zero")
-        return np.array([((-theta * abs(uv)) * av) / norm_a])
+        return np.array([_channel_worst_case(uv, av, theta)])
     norm_a = np.linalg.norm(a)
     if norm_a == 0.0:
         raise DegenerateGradientError("constraint direction a is zero")
     return -theta * np.linalg.norm(u) * a / norm_a
+
+
+def _channel_worst_case(u: float, a: float, theta: float) -> float:
+    """`worst_case_input` on one channel of floats, a != 0:
+    ((-theta*|u|)*a)/|a|.  That is numpy's value bit for bit wherever x * x
+    neither underflows nor overflows: there sqrt(x * x), which
+    np.linalg.norm takes on one element, is |x|."""
+    return ((-theta * abs(u)) * a) / abs(a)
 
 
 def optimal_multiplier(u, a, theta: float) -> float:

@@ -15,22 +15,25 @@ and mapped back through w = v / scale - u.
 Each state is evaluated once: f(x), g(x), grad h(x) and h(x) come from
 `barrier_terms` alongside (p, a) and feed the h and hdot records, and
 xdot = f(x) + g(x) v from the hdot record is RK4's first stage.  A step
-with a degree-2 barrier on an n-state plant thus calls f 5 times on
-2n + 4 states (the 2n stencil points of psi are one stack), grad h twice
-on 2n + 1, g 4 times on 4 and h once: f on 14 states and grad h on 11 on
-the vehicle.  The records are byte for byte those of evaluating each
-quantity anew wherever it is used.
+with a degree-2 barrier on an n-state plant thus calls f 4 times on
+2n + 4 states (x and the 2n stencil points of psi are one stack), grad h
+once on 2n + 1, g 4 times on 4 and h once: f on 14 states and grad h on
+11 on the vehicle.  The records are byte for byte those of evaluating
+each quantity anew wherever it is used.
 
 Every callable takes a stack of states (see `barriers`), and `simulate`
 checks this once per run: on a stack of two states each must return
 each state's own value, bit for bit, or the run raises SimulationError.
 `simulate_sweep` runs a scenario's design levels as the lanes of one
 loop.  Its state is an (N, n) stack: the controller, `barrier_terms`,
-the hdot record and `step_rk4` run once per step on the stack, the
+the hdot record and the RK4 step run once per step on the stack, the
 filter and the adversary once per lane.  So a step makes the calls of
 one run, on N times the states, and each lane's records are byte for
 byte those of `simulate` on its level alone.  `simulate` is the case of
-one lane, on an (n,) state.
+one lane, on an (n,) state.  A lane with one input channel runs on
+Python floats wherever the interval route filters (or nothing does) and
+the adversary is nominal or the worst case: numpy is left to the model's
+callables and the stack's products.
 
 Filter infeasibility at a step falls back to the baseline input and
 flags the step instead of aborting, so sweeps that brush infeasibility
@@ -53,11 +56,22 @@ from .barriers import (
     barrier_terms,
     input_direction_defect,
 )
-from .filters import FILTER_MODES, InfeasibleError, filter_auto, robust_margin
+from .filters import (
+    FILTER_MODES,
+    InfeasibleError,
+    _bounds,
+    _check_finite,
+    _interval,
+    _interval_margin,
+    _scalar_theta,
+    filter_auto,
+    robust_margin,
+)
 from .sectors import (
     NormalizedUncertainty,
     SectorBound,
     SectorNonlinearity,
+    _channel_worst_case,
     apply_nonlinearity,
     in_level_range,
     worst_case_input,
@@ -185,17 +199,26 @@ def step_rk4(dyn: Dynamics, uncertainty: NormalizedUncertainty, x, u, w,
 
     k1, if given, must be f(x) + g(x) @ (scale * (u + w)) at this x, as
     `simulate` has it from the hdot record; the step then evaluates f and
-    g at x no more.  The stage points x + c * k share one work array, which
-    f and g must not keep, and the stages and their weighted sum are
-    accumulated in place: the same IEEE operations in the same order as
-    the textbook expressions, so the result is the same to the bit.
+    g at x no more.
     """
     x = np.asarray(x, dtype=float)
     v = uncertainty.scale * (np.array(u, dtype=float, ndmin=1, copy=None)
                              + np.array(w, dtype=float, ndmin=1, copy=None))
-    f, g = dyn.f, dyn.g
     if k1 is None:
-        k1 = f(x) + _matvec(g(x), v)
+        k1 = dyn.f(x) + _matvec(dyn.g(x), v)
+    return _rk4(dyn, x, v, dt, k1)
+
+
+def _rk4(dyn: Dynamics, x: np.ndarray, v: np.ndarray, dt: float, k1: np.ndarray
+         ) -> np.ndarray:
+    """`step_rk4` with the held input v = scale * (u + w) and k1 given.
+
+    The stage points x + c * k share one work array, which f and g must not
+    keep, and the stages and their weighted sum are accumulated in place:
+    the same IEEE operations in the same order as the textbook expressions,
+    so the result is the same to the bit.
+    """
+    f, g = dyn.f, dyn.g
     half = 0.5 * dt
     y = k1 * half
     y += x
@@ -217,32 +240,54 @@ def step_rk4(dyn: Dynamics, uncertainty: NormalizedUncertainty, x, u, w,
     return k2
 
 
-def _square(x: np.ndarray) -> float:
-    """x @ x, on a float for one entry."""
-    if x.size == 1:
-        xi = x.item()
-        return xi * xi
-    return float(x.dot(x))
+def _lane_calls(sc: Scenario, floats: bool) -> tuple[Callable, Callable, Callable]:
+    """The calls of one lane, chosen once per run, on one channel's floats
+    or on (m,) arrays: filt(p, a, u0, theta) -> (u, margin, altered), which
+    may raise InfeasibleError; margin(p, a, u, theta), the robust margin of
+    an input the filter did not choose; and adversary(u, a, theta, t) -> w
+    at the plant's level theta.  On floats each is the IEEE operations of
+    its array form on one element, so the records keep their bytes."""
+    adv, scale = sc.adversary, sc.uncertainty.scale
+    margin = _interval_margin if floats else robust_margin
+    if sc.filter_mode == "off":
+        def filt(p, a, u0, theta):
+            return u0, margin(p, a, u0, theta), False
+    elif floats:
+        bound = math.inf if sc.u_max is None else _bounds(sc.u_max, 1)[0]  # inf: no box
 
+        def filt(p, a, u0, theta):
+            _check_finite((p, a, u0))
+            return _interval(p, a, u0, theta, bound)
+    else:
+        def filt(p, a, u0, theta):
+            res = filter_auto(p, a, u0, theta, u_max=sc.u_max, mode=sc.filter_mode)
+            return res.u, res.margin, res.altered
 
-def _adversary_input(adv: Adversary, unc: NormalizedUncertainty, u: np.ndarray,
-                     a: np.ndarray, t: float) -> np.ndarray:
-    theta_plant = unc.theta if adv.theta is None else adv.theta
+    # the worst case is +0.0 wherever worst_case_input's |a| or |u| is 0: it
+    # takes |x| = sqrt(x @ x), which is 0 exactly when x @ x is, underflow
+    # included
     if adv.kind == "nominal":
-        return np.zeros(u.size)
-    if adv.kind == "worst_case":
-        # +0.0 wherever worst_case_input's |a| or |u| is 0: it takes
-        # |x| = sqrt(x @ x), which is 0 exactly when x @ x is, underflow
-        # included
-        if theta_plant == 0.0 or _square(a) == 0.0 or _square(u) == 0.0:
-            return np.zeros(u.size)
-        return worst_case_input(u, a, theta_plant)
-    # scripted: evaluate v = phi(u) in the plant's sector, then invert the
-    # loop shift
-    plant_sector = SectorBound(unc.scale * (1.0 - theta_plant),
-                               unc.scale * (1.0 + theta_plant))
-    v = apply_nonlinearity(adv.scripted, plant_sector, u, t)
-    return v / unc.scale - u
+        zero = 0.0 if floats else np.zeros(sc.dynamics.m)
+
+        def adversary(u, a, theta, t):
+            return zero
+    elif adv.kind == "worst_case" and floats:
+        def adversary(u, a, theta, t):
+            if theta == 0.0 or a * a == 0.0 or u * u == 0.0:
+                return 0.0
+            return _channel_worst_case(u, a, theta)
+    elif adv.kind == "worst_case":
+        def adversary(u, a, theta, t):
+            if theta == 0.0 or a.dot(a) == 0.0 or u.dot(u) == 0.0:
+                return np.zeros(u.size)
+            return worst_case_input(u, a, theta)
+    else:
+        def adversary(u, a, theta, t):
+            # scripted: evaluate v = phi(u) in the plant's sector, then
+            # invert the loop shift
+            plant_sector = SectorBound(scale * (1.0 - theta), scale * (1.0 + theta))
+            return apply_nonlinearity(adv.scripted, plant_sector, u, t) / scale - u
+    return filt, margin, adversary
 
 
 def _check_stacks(sc: Scenario):
@@ -274,11 +319,14 @@ def _lockstep(scenarios: list) -> list:
     one closed loop on a stack of states, one result per scenario.
 
     One scenario keeps its (n,) state; N of them step an (N, n) stack.
-    The baseline controller, `barrier_terms`, the hdot record and
-    `step_rk4` run once per step on the stack; the filter and the
-    adversary run per lane, on that lane's level.  Each lane's records are
-    byte for byte those of its own run (the stack takes per-row products,
-    see `barriers`).
+    The baseline controller, `barrier_terms`, the hdot record and the RK4
+    step run once per step on the stack; the filter and the adversary run
+    per lane, on that lane's level.  With one input channel, the interval
+    route or no filter, and the nominal or worst-case adversary, a lane
+    runs on floats: p, a and u0 become floats once per step, and the lane
+    records floats (`_lane_calls`).  Each lane's records are byte for byte
+    those of its own run (the stack takes per-row products, see
+    `barriers`).
     """
     sc = scenarios[0]
     for other in scenarios[1:]:
@@ -316,35 +364,46 @@ def _lockstep(scenarios: list) -> list:
     altered = np.zeros(lead + (rows,), dtype=bool)
     infeasible = np.zeros(lead + (rows,), dtype=bool)
 
+    thetas = [run.uncertainty.theta for run in scenarios]
+    plants = thetas if sc.adversary.theta is None else [sc.adversary.theta] * len(thetas)
+    floats = (m == 1 and sc.filter_mode in ("off", "auto", "scalar")
+              and sc.adversary.kind != "scripted"
+              and all(np.ndim(t) == 0 for t in thetas + plants))
+    if floats:  # the levels' checks, once per run
+        thetas, plants = [_scalar_theta(t) for t in thetas], [float(t) for t in plants]
+    filt, margin, adversary = _lane_calls(sc, floats)
+
     x = sc.x0.copy() if single else np.tile(sc.x0, (len(scenarios), 1))
-    for k in range(rows):
-        t, step = float(times[k]), k if single else (slice(None), k)  # every lane
-        u0 = u0s[step] = np.reshape(sc.controller(x), lead + (m,))
+    channel = (0,) if floats else ()  # a float lane writes its one channel's element
+    for k, t in enumerate(times.tolist()):
+        step = k if single else (slice(None), k)  # every lane
+        u0 = u0s[step] = np.asarray(sc.controller(x)).reshape(lead + (m,))
         p, a, at_x = barrier_terms(barrier, dyn, unc, x, values=True)
-        for lane, run in zip(lanes, scenarios):
-            row, theta = lane + (k,), run.uncertainty.theta
-            u = u0[lane]
-            if sc.filter_mode == "off":
-                margins[row] = robust_margin(p[lane], a[lane], u, theta)
-            else:
-                try:
-                    res = filter_auto(p[lane], a[lane], u, theta, u_max=sc.u_max,
-                                      mode=sc.filter_mode)
-                    u, margins[row], altered[row] = res.u, res.margin, res.altered
-                except InfeasibleError:
-                    margins[row] = robust_margin(p[lane], a[lane], u, theta)
-                    infeasible[row] = True
-            us[row] = u
-            ws[row] = _adversary_input(sc.adversary, run.uncertainty, u, a[lane], t)
-        u, w = us[step], ws[step]
-        v = vs[step] = unc.scale * (u + w)
+        if floats:
+            lane_p = [float(p)] if single else p.tolist()
+            lane_a, lane_u0 = a.ravel().tolist(), u0.ravel().tolist()
+        else:
+            lane_p, lane_a, lane_u0 = ([y[lane] for lane in lanes] for y in (p, a, u0))
+        for lane, pl, al, ul, theta, plant in zip(lanes, lane_p, lane_a, lane_u0, thetas,
+                                                  plants):
+            row = lane + (k,)
+            try:
+                u, margins[row], altered[row] = filt(pl, al, ul, theta)
+            except InfeasibleError:
+                u, margins[row], infeasible[row] = ul, margin(pl, al, ul, theta), True
+            cell = row + channel
+            us[cell] = u
+            ws[cell] = w = adversary(u, al, plant, t)
+            vs[cell] = unc.scale * (u + w)
+        v = vs[step]
         states[step] = x
         h_vals[step] = at_x.h
         xdot = at_x.f + _matvec(at_x.g, v)  # RK4's first stage
         hdot_vals[step] = _rowdot(at_x.grad, xdot)
         if k < n_steps:
-            x = step_rk4(dyn, unc, x, u, w, sc.dt, k1=xdot)
-            if not np.isfinite(x).all():
+            x = _rk4(dyn, x, v, sc.dt, xdot)
+            flat = x.reshape(-1)  # flat @ flat is finite only where every entry is
+            if not (math.isfinite(flat.dot(flat)) or np.isfinite(x).all()):
                 raise SimulationError(f"state diverged at t = {t + sc.dt:g}")
 
     return [SimulationResult(run.name, sc.dt, times, states[lane], u0s[lane], us[lane],

@@ -969,7 +969,8 @@ def test_newton_root_on_a_smooth_and_a_kinked_g():
     # hands [lam] as the answer with its margin: g itself from `end` on,
     # and below it a fixed deficit, -g(end), over the stretch [c, end) of
     # 16 ulps, about the rounding bound of a float margin on six channels,
-    # where g is already >= 0 but the margin does not certify
+    # where g is already >= 0 but the margin does not certify.  The band is
+    # 0, so each search must find the root itself
     def kinked(c, k):
         return lambda x: (x - c, 1.0) if x < c else (k * (x - c), k)
 
@@ -985,8 +986,8 @@ def test_newton_root_on_a_smooth_and_a_kinked_g():
                         evals.append(lam)
                         gx, dx = g(lam)
                         if gx < 0.0:
-                            return gx, dx, None, gx
-                        return gx, dx, [lam], gx if lam >= end else -g(end)[0]
+                            return gx, dx, None, gx, 0.0
+                        return gx, dx, [lam], gx if lam >= end else -g(end)[0], 0.0
 
                     (root,), value = rcbf_shield.filters._newton_root(gd, g(0.0)[0], float(y))
                     case = (name, c, end, y, root, len(evals))
@@ -999,9 +1000,9 @@ def test_newton_root_that_never_certifies_raises_a_plain_filter_error():
     # a g that stays below 0 and flat doubles lam past 1e300, and a margin
     # that stays below 0 where g >= 0 runs the search out of steps: neither
     # shows that no input is safe, so neither is an InfeasibleError
-    never = [lambda lam: (-1.0, 0.0, None, -1.0),
-             lambda lam: (lam - 1.0, 1.0, None, lam - 1.0) if lam < 1.0
-             else (lam - 1.0, 1.0, [lam], -1.0)]
+    never = [lambda lam: (-1.0, 0.0, None, -1.0, 0.0),
+             lambda lam: (lam - 1.0, 1.0, None, lam - 1.0, 0.0) if lam < 1.0
+             else (lam - 1.0, 1.0, [lam], -1.0, 0.0)]
     for gd in never:
         with pytest.raises(FilterError, match="did not converge") as err:
             rcbf_shield.filters._newton_root(gd, -1.0, 0.5)

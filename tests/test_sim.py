@@ -31,7 +31,7 @@ from rcbf_shield.sim import (
     step_rk4,
     trajectory_metrics,
 )
-from rcbf_shield.vehicle import obstacle_barrier
+from rcbf_shield.vehicle import lqr_controller, obstacle_barrier
 
 
 def test_rk4_exponential_decay():
@@ -344,6 +344,8 @@ def _parity_scenarios():
     short = lambda sc, **kw: replace(sc, horizon=0.3, **kw)
     plant = SectorBound(0.5, 1.5)
     yield short(recbf)
+    yield short(recbf, filter_mode="scalar")
+    yield short(recbf, adversary=Adversary())             # nominal plant
     yield short(presets["fig3_lqr"])                      # filter_mode "off"
     yield short(presets["fig3_ecbf"])
     # degree 2 with no grad: both stencil levels are finite differences
@@ -408,6 +410,22 @@ def test_worst_case_zero_shortcuts_match_the_reference(gain, mode):
         assert not np.signbit(got.ws).any() and not got.ws.any()
 
 
+@pytest.mark.parametrize("kind", ["worst_case", "nominal"])
+def test_a_non_finite_baseline_stops_the_run_with_its_error(kind):
+    # the baseline turns NaN from t = 0.036 on, once s passes -19: every
+    # filter refuses the data, and the unfiltered run diverges a step later
+    lqr = lqr_controller()
+    sc = replace(scenario_presets()["fig3_recbf"], horizon=0.2,
+                 controller=lambda x: np.where(x[..., 4] > -19.0, np.nan, lqr(x)))
+    if kind == "nominal":
+        sc = replace(sc, adversary=Adversary())
+    for mode in ("auto", "scalar", "socp", "qp"):
+        with pytest.raises(ValueError, match="constraint data must be finite"):
+            simulate(replace(sc, filter_mode=mode))
+    with pytest.raises(SimulationError, match=r"state diverged at t = 0\.037$"):
+        simulate(replace(sc, filter_mode="off"))
+
+
 def _counted(counts, key, fn):
     """fn, counting its calls and the states they pass in counts[key]."""
     def counting(x):
@@ -429,12 +447,12 @@ def _count_evaluations(sc, run):
 
 def _expected_evaluations(steps, lanes):
     """(calls, states) of f, g, grad h and h on fig3_recbf.  Each row calls
-    f on the degree-2 stencil's stack of 10 points and on x; grad h on the
-    stencil and on x; g and h on x.  RK4's three further stages call f and
+    f and grad h once, on the stack of x and the degree-2 stencil's 10
+    points; g and h on x.  RK4's three further stages call f and
     g.  The last row takes no RK4 step.  Set-up evaluates h(x0) and
     grad_h @ g at x0, and the stack check calls each callable on a stack of
     two states and on each of them: 3 calls on 4 states."""
-    per_row = {"f": (2, 11), "g": (1, 1), "grad": (2, 11), "h": (1, 1)}
+    per_row = {"f": (1, 11), "g": (1, 1), "grad": (1, 11), "h": (1, 1)}
     per_step = {"f": (3, 3), "g": (3, 3), "grad": (0, 0), "h": (0, 0)}
     setup = {"f": (3, 4), "g": (4, 5), "grad": (4, 5), "h": (4, 5)}
     rows = steps + 1
@@ -446,12 +464,14 @@ def _expected_evaluations(steps, lanes):
 
 def test_one_evaluation_per_state():
     # the state x costs f, g, grad and h once each, shared by (p, a), the h
-    # and hdot records and RK4's k1: a step calls f 5 times on 14 states,
-    # grad h twice on 11, g 4 times on 4 and h once
+    # and hdot records and RK4's k1, and x rides on the stencil's stack: a
+    # step calls f 4 times on 14 states, grad h once on 11, g 4 times on 4
+    # and h once
     sc = replace(scenario_presets()["fig3_recbf"], horizon=0.1)
     counts = _count_evaluations(sc, simulate)
     assert counts == _expected_evaluations(100, 1)
-    assert counts["f"] == (5 * 100 + 5, 14 * 100 + 15)
+    assert counts["f"] == (4 * 100 + 4, 14 * 100 + 15)
+    assert counts["grad"] == (1 * 100 + 5, 11 * 100 + 16)
     # four lanes: the same calls per step, on four times the states
     sweep = replace(scenario_presets()["fig4_sweep"], horizon=0.1)
     assert _count_evaluations(sweep, simulate_sweep) == _expected_evaluations(100, 4)
