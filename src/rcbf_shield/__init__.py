@@ -39,7 +39,6 @@ from .sim import (
 )
 from .vehicle import lateral_dynamics, obstacle_barrier, lqr_controller
 from .config import ConfigError, load_scenario, scenario_presets
-from .verify import run_checks
 
 __version__ = "0.1.0"
 
@@ -81,6 +80,5 @@ __all__ = [
     "scenario_presets",
     "ConfigError",
     "load_scenario",
-    "run_checks",
     "__version__",
 ]

@@ -20,10 +20,12 @@ is supplied.
 
 Every callable takes a stack of states, shape (..., n), and returns each
 state's own value: f and grad h an (..., n) array, g an (..., n, m) array,
-h an (..., ) array.  One state is the shape (n,).  The degree-2 term
-evaluates f and grad h once, on x and the 2n points of its stencil as
-one (..., 2n + 1, n) stack: row 0 is x itself, so it gives f(x),
-grad h(x) and psi(x) = L_f h(x) with the bits of the one-state calls.
+h an (..., ) array.  One state is the shape (n,).  A stencil has one
+layout (`_stencil_stack`): x and its 2n points x +- eps e_i as one
+(..., 2n + 1, n) stack, row 0 x itself.  The degree-2 term evaluates f
+and grad h once, on that stack, so row 0 gives f(x), grad h(x) and
+psi(x) = L_f h(x) with the bits of the one-state calls; the
+finite-difference gradient evaluates h once on it, row 0 included.
 A caller may pass a stack of states to `barrier_terms` itself.  Each
 row of a stack gets the bits of the one-state product (`_matvec`,
 `_rowdot`, `_vecmat`); one state keeps `ndarray.dot`, which costs a third
@@ -77,7 +79,7 @@ class Dynamics:
 
 def linear_class_k(gamma: float = 1.0) -> Callable[[float], float]:
     """Linear decrease-rate margin eta(h) = gamma * h, gamma > 0."""
-    if gamma <= 0.0:
+    if not 0.0 < gamma < math.inf:
         raise ValueError(f"decrease rate must be positive, got {gamma}")
     return lambda h: gamma * h
 
@@ -88,7 +90,7 @@ def pole_gains(p1: float, p2: float) -> tuple[float, float]:
     Both poles must lie in the open left half plane; the returned pair
     satisfies s^2 + k1*s + k0 = (s - p1)(s - p2).
     """
-    if p1 >= 0.0 or p2 >= 0.0:
+    if not (-math.inf < p1 < 0.0 and -math.inf < p2 < 0.0):
         raise ValueError(f"poles must be negative, got ({p1}, {p2})")
     return p1 * p2, -(p1 + p2)
 
@@ -158,29 +160,30 @@ def _vecmat(x: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _stencil(n: int, center: bool) -> np.ndarray:
-    """The steps of the 2n stencil points per unit eps: the rows of I, then
-    of -I (whose zeros are -0.0), led by a row of zeros for the center if
-    center (`_stencil_stack` puts x itself there)."""
+def _stencil(n: int) -> np.ndarray:
+    """The rows of a stencil per unit eps: a row of zeros for x itself
+    (`_stencil_stack` copies x there), the rows of I, then of -I (whose
+    zeros are -0.0)."""
     eye = np.eye(n)
-    out = np.concatenate((np.zeros((int(center), n)), eye, -eye))
+    out = np.concatenate((np.zeros((1, n)), eye, -eye))
     out.flags.writeable = False
     return out
 
 
-def _stencil_stack(x: np.ndarray, center: bool = False):
-    """The 2n stencil points of each state of the stack x (..., n),
-    x + eps e_i and then x + -eps e_i, as one (..., 2n, n) stack, led by x
-    itself if center: (..., 2n + 1, n).  Also 2 eps, the width of the
-    differences (`_differences`): eps = 1e-6 * (1 + ||x||) per state,
-    ||x|| = sqrt(x @ x) as np.linalg.norm takes it, a float for one state
+def _stencil_stack(x: np.ndarray):
+    """Each state of the stack x (..., n) and its 2n stencil points,
+    x + eps e_i and then x + -eps e_i, as one (..., 2n + 1, n) stack led
+    by x itself.  Also 2 eps, the width of the differences
+    (`_differences`): eps = 1e-6 * (1 + ||x||) per state, ||x|| =
+    sqrt(x @ x) as np.linalg.norm takes it, a float for one state
     (math.sqrt is the IEEE square root, as np.sqrt is).
 
-    Adding +0.0 turns -0.0 into +0.0 on the other coordinates of the first
-    n, and adding -0.0 keeps every zero's sign on the last n, as
-    subtracting +0.0 would; the center is copied, so it keeps its own.
+    Adding +0.0 turns -0.0 into +0.0 on the other coordinates of the
+    points x + eps e_i, and adding -0.0 keeps every zero's sign on the
+    points x + -eps e_i, as subtracting +0.0 would; x is copied, so it
+    keeps its own.
     """
-    steps = _stencil(x.shape[-1], center)
+    steps = _stencil(x.shape[-1])
     if x.ndim == 1:
         eps = 1e-6 * (1.0 + math.sqrt(x.dot(x)))
         stack, width = eps * steps, 2.0 * eps
@@ -188,23 +191,22 @@ def _stencil_stack(x: np.ndarray, center: bool = False):
         eps = 1e-6 * (1.0 + np.sqrt(_rowdot(x, x)))
         stack, width = eps[..., None, None] * steps, (2.0 * eps)[..., None]
     stack += x[..., None, :]
-    if center:
-        stack[..., 0, :] = x
+    stack[..., 0, :] = x
     return stack, width
 
 
 def _differences(values: np.ndarray, width) -> np.ndarray:
     """(v(x + eps e_i) - v(x - eps e_i)) / (2 eps) from the values
-    (..., 2n) or (..., 2n + 1) of v on a `_stencil_stack` and its width."""
+    (..., 2n + 1) of v on a `_stencil_stack`, rows 1..2n, and its width."""
     n = values.shape[-1] // 2
-    return (values[..., -2 * n:-n] - values[..., -n:]) / width
+    return (values[..., 1:n + 1] - values[..., n + 1:]) / width
 
 
 def _numeric_gradient(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray
                       ) -> np.ndarray:
     """Central differences of func at each state of the stack x (..., n),
-    func evaluated once, on the (..., 2n, n) stack of the stencil points
-    (`_stencil_stack`)."""
+    func evaluated once, on its (..., 2n + 1, n) `_stencil_stack` (row 0,
+    x itself, is evaluated and not read)."""
     stack, width = _stencil_stack(x)
     return _differences(func(stack), width)
 
@@ -256,7 +258,7 @@ def barrier_terms(barrier: Barrier, dyn: Dynamics,
         # are not asked to supply).  f and grad h run once, on x and its
         # stencil as one stack, whose row 0, x itself, gives f(x), grad h(x)
         # and psi(x) = L_f h(x)
-        stack, width = _stencil_stack(x, center=True)
+        stack, width = _stencil_stack(x)
         fs, grads = dyn.f(stack), gradient(barrier, stack)
         psi = _rowdot(grads, fs)
         fx, grad = fs[..., 0, :], grads[..., 0, :]

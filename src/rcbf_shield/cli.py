@@ -29,7 +29,6 @@ from .output import (
     trajectory_svg_text,
 )
 from .sim import Scenario, SimulationError, simulate, simulate_sweep, trajectory_metrics
-from .verify import format_report, run_checks
 
 __all__ = ["main", "cmd_simulate", "cmd_sweep", "cmd_verify"]
 
@@ -178,6 +177,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import format_report, run_checks  # only this command loads the self-checks
+
     results = run_checks(args.depth)
     print(format_report(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_CONFIG

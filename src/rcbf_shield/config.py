@@ -197,6 +197,7 @@ def _build_scenario(values: dict, name: str) -> Scenario:
     _require(len(x0) == 5, f"simulation.x0 expects 5 values, got {len(x0)}")
     sweep = v["simulation.sweep_thetas"]
     if sweep is not None:
+        sweep = tuple(th + 0.0 for th in sweep)  # -0.0 is the level 0
         tags = []
         for th in sweep:
             _require(in_level_range(th),
@@ -211,7 +212,7 @@ def _build_scenario(values: dict, name: str) -> Scenario:
             controller=controller, adversary=adversary, x0=np.asarray(x0),
             dt=v["simulation.dt"], horizon=v["simulation.horizon"],
             filter_mode=filter_mode, u_max=u_max, name=name,
-            sweep_thetas=tuple(sweep) if sweep is not None else None)
+            sweep_thetas=sweep)
     except ValueError as exc:
         raise ConfigError(f"simulation: {exc}") from None
 
@@ -240,7 +241,10 @@ def _build_adversary(v: dict, unc: NormalizedUncertainty,
         except ValueError as exc:
             raise ConfigError(f"simulation.sat_level: {exc}") from None
     elif kind == "gain_sweep":
-        fixture = time_varying_gain(v["simulation.gain_freq"], v["simulation.gain_phase"])
+        try:
+            fixture = time_varying_gain(v["simulation.gain_freq"], v["simulation.gain_phase"])
+        except ValueError as exc:
+            raise ConfigError(f"simulation.gain_freq: {exc}") from None
     else:
         fixture = random_in_sector(v["simulation.seed"])
     return Adversary(kind="scripted", theta=plant_theta, scripted=fixture)

@@ -24,7 +24,8 @@ bisection.  Each evaluation is O(1) on the ball route without a box, in
 two coordinates (`_ball_root`); O(1) on the set of clamped channels but
 for one pass that tests the set under a box, where a stretch with g flat
 ends in one step (`_boxed_ball_root`); and one soft-thresholding pass
-with the margin itself on the split route (`filter_qp_channels`).  Both
+with the margin itself on the split route (`filter_qp_channels`), where
+a stretch with g flat below 0 also ends in one step.  Both
 ball routes search in mu = lam * ||a|| on a / ||a||, so ||a|| never
 enters squared, and scaling p and a by a power of 2 leaves their
 answers' bits as they are.  Every route runs on plain floats, and the
@@ -80,8 +81,6 @@ __all__ = [
 
 #: The threshold on ||u - u0|| below which the result counts as unaltered.
 TOL_FEAS = 1e-8
-
-FILTER_MODES = ("auto", "scalar", "socp", "qp")
 
 
 class FilterError(RuntimeError):
@@ -709,29 +708,51 @@ def filter_qp_channels(p, a, u0, theta, u_max=None) -> FilterResult:
                 size += q * abs(w)
                 u.append(w)
             g = margin(u)
-            return g, slope * s, u, g, unit * (abs(p) + s * size)
+            slope *= s
+            if slope == 0.0 and g < 0.0 and (nxt := flat_end(mu)):
+                slope = -g / (nxt - mu)  # the step to just past the flat stretch
+            return g, slope, u, g, unit * (abs(p) + s * size)
+
+        def flat_end(mu):
+            """Where no channel moves, a point just past the first mu where
+            one starts to: clamped at +b at (b - x) / (y - l) when y < l,
+            clamped at -b at (-b - x) / (y + l) when y + l > 0, and at 0 at
+            -x / (y - l) when y > l or -x / (y + l) when y + l < 0, with
+            x = u0_i, y = a_i / s, l = theta_i |a_i| / s, b = ub_i.  A
+            channel with a_i = 0 never moves.  0 when none ever does."""
+            end = math.inf
+            for x, y, l, b, _ in rows:
+                v, k = x + mu * y, mu * l
+                w = v - k if v > k else v + k if v < -k else 0.0
+                if w >= b:
+                    if y < l:
+                        end = min(end, (b - x) / (y - l))
+                elif w <= -b:
+                    if y + l > 0.0:
+                        end = min(end, (-b - x) / (y + l))
+                elif not w:
+                    if y > l:
+                        end = min(end, -x / (y - l))
+                    elif y + l < 0.0:
+                        end = min(end, -x / (y + l))
+            nxt = max(end, mu) * (1.0 + 2.0 ** -30)
+            return nxt if mu < nxt < math.inf else 0.0
 
         # from -g(0) / ||a||^2 in lam
         ans, value = _newton_root(gd, value, -value / s / math.hypot(*[r[1] for r in rows]) ** 2)
     return FilterResult(np.array(ans), value, math.hypot(*map(sub, ans, ul)) > TOL_FEAS)
 
 
-def filter_auto(p, a, u0, theta, u_max=None, mode: str = "auto") -> FilterResult:
+def filter_auto(p, a, u0, theta, u_max=None) -> FilterResult:
     """Dispatch to the fitting route.
 
     Per-channel theta (any array) goes to the split route; otherwise one
-    channel uses the exact interval and several use the ball route.
+    channel uses the exact interval and several use the ball route.  To
+    take another route, call it: `filter_scalar`, `filter_socp` or
+    `filter_qp_channels`.
     """
-    if mode not in FILTER_MODES:
-        raise ValueError(f"unknown filter mode {mode!r}")
-    if mode == "auto":
-        if isinstance(theta, float) or np.ndim(theta) == 0:  # isinstance: no numpy dispatch
-            size = a.size if isinstance(a, np.ndarray) else np.size(a)
-            mode = "scalar" if size == 1 else "socp"
-        else:
-            mode = "qp"
-    if mode == "scalar":
-        return filter_scalar(p, a, u0, theta, u_max=u_max)
-    if mode == "socp":
+    if isinstance(theta, float) or np.ndim(theta) == 0:  # isinstance: no numpy dispatch
+        if (a.size if isinstance(a, np.ndarray) else np.size(a)) == 1:
+            return filter_scalar(p, a, u0, theta, u_max=u_max)
         return filter_socp(p, a, u0, theta, u_max=u_max)
     return filter_qp_channels(p, a, u0, theta, u_max=u_max)

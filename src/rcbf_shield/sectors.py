@@ -20,6 +20,7 @@ lambda* = ||a|| / (2 * theta * ||u||).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,7 +81,7 @@ class SectorBound:
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"lower sector slope must satisfy 0 < alpha <= 1, got {self.alpha}")
-        if not (self.beta >= 1.0):
+        if not (1.0 <= self.beta < math.inf):
             raise ValueError(f"upper sector slope must satisfy beta >= 1, got {self.beta}")
 
 
@@ -99,7 +100,7 @@ class NormalizedUncertainty:
     def __post_init__(self):
         if not in_level_range(self.theta):
             raise ValueError(f"uncertainty level must satisfy 0 <= theta < 1, got {self.theta}")
-        if not (self.scale > 0.0):
+        if not (0.0 < self.scale < math.inf):
             raise ValueError(f"input gain must be positive, got {self.scale}")
 
 
@@ -134,7 +135,7 @@ def saturation_in_sector(level: float, input_range: float,
     scenario's input range, so `level >= alpha * input_range` is required;
     inputs beyond `input_range` are rejected at apply time.
     """
-    if level <= 0.0 or input_range <= 0.0:
+    if not (0.0 < level < math.inf and 0.0 < input_range < math.inf):
         raise ValueError("saturation level and input range must be positive")
     if level < bound.alpha * input_range:
         raise ValueError(
@@ -147,6 +148,8 @@ def saturation_in_sector(level: float, input_range: float,
 
 def time_varying_gain(freq: float, phase: float = 0.0) -> SectorNonlinearity:
     """Gain sweep v = g(t) * u with g(t) oscillating across the full sector."""
+    if not (math.isfinite(freq) and math.isfinite(phase)):
+        raise ValueError(f"gain frequency and phase must be finite, got {freq}, {phase}")
     return SectorNonlinearity("time_varying_gain",
                               {"freq": float(freq), "phase": float(phase)})
 
@@ -167,14 +170,14 @@ def normalize_sector(bound: SectorBound) -> NormalizedUncertainty:
                                  scale=(alpha + beta) / 2.0)
 
 
-def check_sector_qc(u, v, bound: SectorBound, tol: float = TOL_QC) -> bool:
-    """Pointwise sector membership: (v - alpha*u)^T (beta*u - v) >= -tol."""
+def check_sector_qc(u, v, bound: SectorBound) -> bool:
+    """Pointwise sector membership: (v - alpha*u)^T (beta*u - v) >= -TOL_QC."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise ValueError(f"input dimension mismatch: {u.shape} vs {v.shape}")
     qc = (v - bound.alpha * u) @ (bound.beta * u - v)
-    return bool(qc >= -tol)
+    return bool(qc >= -TOL_QC)
 
 
 def _philox_uniform(seed: int, t: float, n: int) -> np.ndarray:
@@ -262,7 +265,9 @@ def worst_case_oracle(u, a, theta: float, samples: int = 10_000) -> np.ndarray:
     Independent of the closed form: for scalar inputs the radius interval is
     scanned exhaustively; otherwise the ball is sampled (half uniform in the
     interior, half on the boundary sphere where a linear objective attains
-    its minimum).  Deterministic for fixed arguments.
+    its minimum), at `samples` points, at least 1000: the self-check takes
+    the default, the geometry demo 50,000.  Deterministic for fixed
+    arguments.
     """
     if samples < 1_000:
         raise ValueError(f"need at least 1000 samples, got {samples}")

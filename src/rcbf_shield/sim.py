@@ -57,7 +57,6 @@ from .barriers import (
     input_direction_defect,
 )
 from .filters import (
-    FILTER_MODES,
     InfeasibleError,
     _bounds,
     _check_finite,
@@ -65,6 +64,9 @@ from .filters import (
     _interval_margin,
     _scalar_theta,
     filter_auto,
+    filter_qp_channels,
+    filter_scalar,
+    filter_socp,
     robust_margin,
 )
 from .sectors import (
@@ -89,7 +91,7 @@ __all__ = [
 ]
 
 ADVERSARY_KINDS = ("nominal", "worst_case", "scripted")
-SIM_FILTER_MODES = ("off",) + FILTER_MODES
+SIM_FILTER_MODES = ("off", "auto", "scalar", "socp", "qp")
 
 
 class SimulationError(RuntimeError):
@@ -136,7 +138,9 @@ class Scenario:
         x0: Initial state, must be safe (h(x0) >= 0).
         dt: Step, seconds.
         horizon: Total time, seconds.
-        filter_mode: "off" or a filter route ("auto", "scalar", "socp", "qp").
+        filter_mode: "off", or the route every step calls: "auto"
+            (`filter_auto`), "scalar", "socp" or "qp" (`filter_scalar`,
+            `filter_socp`, `filter_qp_channels`).
         u_max: Optional symmetric input bound forwarded to the filter.
         name: Label used in output files.
         sweep_thetas: For sweep-style presets, the design levels that
@@ -193,20 +197,17 @@ class SimulationResult:
 
 
 def step_rk4(dyn: Dynamics, uncertainty: NormalizedUncertainty, x, u, w,
-             dt: float, k1: Optional[np.ndarray] = None) -> np.ndarray:
+             dt: float) -> np.ndarray:
     """One RK4 step of xdot = f(x) + g(x) * scale * (u + w), u and w held,
     for each state of x (..., n) with its own u and w (..., m).
 
-    k1, if given, must be f(x) + g(x) @ (scale * (u + w)) at this x, as
-    `simulate` has it from the hdot record; the step then evaluates f and
-    g at x no more.
+    `simulate` takes the step through `_rk4`, with the first stage from its
+    hdot record, so it evaluates f and g at x once per step.
     """
     x = np.asarray(x, dtype=float)
     v = uncertainty.scale * (np.array(u, dtype=float, ndmin=1, copy=None)
                              + np.array(w, dtype=float, ndmin=1, copy=None))
-    if k1 is None:
-        k1 = dyn.f(x) + _matvec(dyn.g(x), v)
-    return _rk4(dyn, x, v, dt, k1)
+    return _rk4(dyn, x, v, dt, dyn.f(x) + _matvec(dyn.g(x), v))
 
 
 def _rk4(dyn: Dynamics, x: np.ndarray, v: np.ndarray, dt: float, k1: np.ndarray
@@ -259,8 +260,13 @@ def _lane_calls(sc: Scenario, floats: bool) -> tuple[Callable, Callable, Callabl
             _check_finite((p, a, u0))
             return _interval(p, a, u0, theta, bound)
     else:
+        # read from this module when the run starts, so a wrapper installed
+        # on one of its names sees the run's calls
+        route = {"auto": filter_auto, "scalar": filter_scalar, "socp": filter_socp,
+                 "qp": filter_qp_channels}[sc.filter_mode]
+
         def filt(p, a, u0, theta):
-            res = filter_auto(p, a, u0, theta, u_max=sc.u_max, mode=sc.filter_mode)
+            res = route(p, a, u0, theta, u_max=sc.u_max)
             return res.u, res.margin, res.altered
 
     # the worst case is +0.0 wherever worst_case_input's |a| or |u| is 0: it
@@ -354,15 +360,20 @@ def _lockstep(scenarios: list) -> list:
     single = len(scenarios) == 1
     lead = () if single else (len(scenarios),)
     lanes = [()] if single else [(i,) for i in range(len(scenarios))]
-    n_steps = int(round(sc.horizon / sc.dt))
-    rows = n_steps + 1
     n, m = dyn.n, dyn.m
-    times = np.arange(rows) * sc.dt
-    states = np.empty(lead + (rows, n))
-    u0s, us, ws, vs = (np.empty(lead + (rows, m)) for _ in range(4))
-    h_vals, hdot_vals, margins = (np.empty(lead + (rows,)) for _ in range(3))
-    altered = np.zeros(lead + (rows,), dtype=bool)
-    infeasible = np.zeros(lead + (rows,), dtype=bool)
+    try:
+        n_steps = int(round(sc.horizon / sc.dt))
+        rows = n_steps + 1
+        times = np.arange(rows) * sc.dt
+        states = np.empty(lead + (rows, n))
+        u0s, us, ws, vs = (np.empty(lead + (rows, m)) for _ in range(4))
+        h_vals, hdot_vals, margins = (np.empty(lead + (rows,)) for _ in range(3))
+        altered = np.zeros(lead + (rows,), dtype=bool)
+        infeasible = np.zeros(lead + (rows,), dtype=bool)
+    # OverflowError: an infinite quotient; ValueError: a size past numpy's limit
+    except (MemoryError, OverflowError, ValueError) as exc:
+        raise SimulationError(f"horizon / dt = {sc.horizon / sc.dt:.4g} steps are too many "
+                              f"to record") from exc
 
     thetas = [run.uncertainty.theta for run in scenarios]
     plants = thetas if sc.adversary.theta is None else [sc.adversary.theta] * len(thetas)

@@ -56,6 +56,8 @@ STATUS_INFEASIBLE = "infeasible"
 STATUS_MAX_ITERATIONS = "max_iterations"
 STATUS_NUMERICAL_FAILURE = "numerical_failure"
 
+_TOL = 1e-8  # residuals of a converged iterate, relative to their scales
+_MAX_ITER = 100
 _GAP_REL = 1e-12  # duality gap of a converged pair, relative to its objective
 _BOUNDARY_FRACTION = 0.99
 _SIGMA_MIN = 1e-9
@@ -239,7 +241,7 @@ class _Cones:
         return (2.0 * jw * self.sum(jw * x)[self.rows] - self.J[col] * x) / eta
 
 
-def _active_polish(prog: ConeProgram, z: np.ndarray, tol: float, nu0):
+def _active_polish(prog: ConeProgram, z: np.ndarray, nu0):
     """Newton polish of z on the active constraints taken as equalities.
 
     A path-following iterate can park O(sqrt(mu)) from the optimum in
@@ -264,7 +266,7 @@ def _active_polish(prog: ConeProgram, z: np.ndarray, tol: float, nu0):
         margin = (float(blk.d @ z) + blk.e
                   - float(np.linalg.norm(blk.A @ z + blk.b)))
         scale = 1.0 + abs(blk.e) + float(np.linalg.norm(blk.b)) + zn
-        if margin <= math.sqrt(tol) * scale:
+        if margin <= math.sqrt(_TOL) * scale:
             active.append(j)
     k = len(active)
     if k == 0:
@@ -299,7 +301,7 @@ def _active_polish(prog: ConeProgram, z: np.ndarray, tol: float, nu0):
     if nu.size and float(np.min(nu)) < -1e-9 * (1.0 + float(np.max(np.abs(nu)))):
         return None
     viol, _ = residuals(prog, zc)
-    if viol > tol * (1.0 + zn):
+    if viol > _TOL * (1.0 + zn):
         return None
     stat = prog.c.copy()
     gap = 0.0  # s_j @ y_j = nu_j * phi_j, whose sum must vanish
@@ -316,7 +318,7 @@ def _active_polish(prog: ConeProgram, z: np.ndarray, tol: float, nu0):
             stat -= nu[i] * (blk.d - blk.A.T @ (v / nv))
             duals[j][1:] = -nu[i] * v / nv
     c_scale = max(1.0, float(np.max(np.abs(prog.c))))
-    if float(np.max(np.abs(stat))) > 1e-10 * c_scale or abs(gap) > tol * c_scale * (1.0 + zn):
+    if float(np.max(np.abs(stat))) > 1e-10 * c_scale or abs(gap) > _TOL * c_scale * (1.0 + zn):
         return None
     return zc, duals
 
@@ -328,17 +330,18 @@ def _stacked(prog: ConeProgram):
     return H, k, _Cones([blk.A.shape[0] + 1 for blk in prog.blocks])
 
 
-def _hsd(prog: ConeProgram, tol: float, max_iter: int):
+def _hsd(prog: ConeProgram):
     """Path following on the self-dual embedding from its central point.
 
     Returns (outcome, z, y, iterations), y stacked as `_stacked` stacks the
-    slacks.  Outcome "optimal": the residuals are within tol of their
+    slacks.  Outcome "optimal": the residuals are within _TOL of their
     scales and the gap within _GAP_REL of the objective, with (z, y) the
     pair scaled back by tau.  "infeasible": y is a Farkas certificate,
-    |H' y| <= tol * (-k @ y), so no z with ||z||_1 < 1/tol meets the
+    |H' y| <= _TOL * (-k @ y), so no z with ||z||_1 < 1/_TOL meets the
     cones (y @ (H z + k) < 0 for each).
-    "unbounded": z is a ray of falling cost, |H z - s| <= tol * (-c @ z)
-    with s in the cones.  Else "max_iterations" or "stalled" (no interior
+    "unbounded": z is a ray of falling cost, |H z - s| <= _TOL * (-c @ z)
+    with s in the cones.  Else "max_iterations" (after _MAX_ITER
+    iterations) or "stalled" (no interior
     step or scaling left, or a step that shrank neither mu nor the
     residuals) with the last good iterate scaled back.
     """
@@ -354,7 +357,7 @@ def _hsd(prog: ConeProgram, tol: float, max_iter: int):
     outcome = "max_iterations"
     last = None
     it = 0
-    for it in range(max_iter):
+    for it in range(_MAX_ITER):
         hy = H.T @ y
         rd = c * tau - hy
         rp = H @ x + k * tau - s
@@ -371,13 +374,13 @@ def _hsd(prog: ConeProgram, tol: float, max_iter: int):
             outcome = "stalled"
             break
         last = (merit, x, y, tau)
-        if (rp_max <= tol * k_scale * tau and rd_max <= tol * c_scale * tau
+        if (rp_max <= _TOL * k_scale * tau and rd_max <= _TOL * c_scale * tau
                 and sy <= _GAP_REL * tau * (tau + abs(cx))):
             outcome = "optimal"
             break
-        if ky < 0.0 and float(np.max(np.abs(hy))) <= -tol * ky:
+        if ky < 0.0 and float(np.max(np.abs(hy))) <= -_TOL * ky:
             return "infeasible", x, y, it
-        if cx < 0.0 and float(np.max(np.abs(H @ x - s))) <= -tol * cx:
+        if cx < 0.0 and float(np.max(np.abs(H @ x - s))) <= -_TOL * cx:
             return "unbounded", x, y, it
 
         scal = cones.nt_scaling(s, y)
@@ -463,40 +466,39 @@ def _hsd(prog: ConeProgram, tol: float, max_iter: int):
         x = x + alpha * dx
         s, y, tau, kappa = s_new, y_new, tau_new, kappa_new
     else:
-        it = max_iter
+        it = _MAX_ITER
     return outcome, x / tau, y / tau, it
 
 
-def solve_socp(prog: ConeProgram, tol: float = 1e-8, max_iter: int = 100) -> SocpResult:
+def solve_socp(prog: ConeProgram) -> SocpResult:
     """Solve a ConeProgram from the self-dual embedding's central point.
 
-    The optimum is polished well past tol when the path permits, so
-    downstream consumers can compare optimizers at tolerances tighter
-    than tol.  STATUS_INFEASIBLE (z NaN) comes with a Farkas certificate
-    that no z with ||z||_1 < 1/tol meets the cones, so a program
+    The path stops at residuals within 1e-8 of their scales, after at most
+    100 iterations.  The optimum is polished well past that when the path
+    permits, so downstream consumers can compare optimizers at tolerances
+    tighter than 1e-8.  STATUS_INFEASIBLE (z NaN) comes with a Farkas
+    certificate that no z with ||z||_1 < 1e8 meets the cones, so a program
     feasible only at that size reads infeasible too.  An unbounded
     program, which no status names, ends STATUS_NUMERICAL_FAILURE with z
     NaN.
     """
-    if tol <= 0.0 or max_iter < 1:
-        raise ValueError("tol must be positive and max_iter at least 1")
-    outcome, z, y, iterations = _hsd(prog, tol, max_iter)
+    outcome, z, y, iterations = _hsd(prog)
     if outcome in ("infeasible", "unbounded"):
         status = STATUS_INFEASIBLE if outcome == "infeasible" else STATUS_NUMERICAL_FAILURE
         return SocpResult(z=np.full(prog.n_vars, math.nan), objective=math.nan,
                           status=status, iterations=iterations, primal_residual=math.inf)
     H, k, cones = _stacked(prog)
-    polished = _active_polish(prog, z, tol, y[cones.starts])
+    polished = _active_polish(prog, z, y[cones.starts])
     if polished is not None:
         z, y = polished[0], np.concatenate(polished[1])
     viol, obj = residuals(prog, z)
     gap = float((H @ z + k) @ y)
     rd_norm = float(np.max(np.abs(prog.c - H.T @ y)))
     c_scale = max(1.0, float(np.max(np.abs(prog.c))))
-    if outcome == "optimal" or (viol <= tol and rd_norm <= 10.0 * tol * c_scale
-                                and gap <= 10.0 * tol * c_scale * len(prog.blocks)):
+    if outcome == "optimal" or (viol <= _TOL and rd_norm <= 10.0 * _TOL * c_scale
+                                and gap <= 10.0 * _TOL * c_scale * len(prog.blocks)):
         # or stopped short of the path's targets but already certifiably
-        # accurate: duality gap and stationarity within an order of tol
+        # accurate: duality gap and stationarity within an order of _TOL
         status = STATUS_OPTIMAL
     elif outcome == "max_iterations":
         status = STATUS_MAX_ITERATIONS

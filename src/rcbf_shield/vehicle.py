@@ -12,6 +12,7 @@ controller take a stack of states (..., 5), as `barriers` asks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -52,10 +53,11 @@ class VehicleParams:
     corner_rear: float = -1.042e5
 
     def __post_init__(self):
-        if min(self.mass, self.inertia_z, self.dist_front, self.dist_rear,
-               self.speed) <= 0.0:
+        # written so that NaN and +-inf fail each test
+        if not all(0.0 < v < math.inf for v in (self.mass, self.inertia_z, self.dist_front,
+                                                self.dist_rear, self.speed)):
             raise ValueError("mass, inertia, axle distances and speed must be positive")
-        if self.corner_front >= 0.0 or self.corner_rear >= 0.0:
+        if not (-math.inf < self.corner_front < 0.0 and -math.inf < self.corner_rear < 0.0):
             raise ValueError("cornering stiffnesses enter negative")
 
 
@@ -103,10 +105,14 @@ def lqr_controller(gain=None, reference=None):
     K = LQR_GAIN if gain is None else np.atleast_1d(np.asarray(gain, dtype=float))
     if K.shape != (4,):
         raise ValueError(f"gain acts on the first four states, got shape {K.shape}")
+    if not np.isfinite(K).all():
+        raise ValueError(f"gain must be finite, got {K.tolist()}")
     r = np.zeros(4) if reference is None else np.atleast_1d(
         np.asarray(reference, dtype=float))
     if r.shape != (4,):
         raise ValueError(f"reference has shape {r.shape}, expected (4,)")
+    if not np.isfinite(r).all():
+        raise ValueError(f"reference must be finite, got {r.tolist()}")
     return lambda x: _rowdot(r - x[..., :4], K)
 
 
@@ -116,7 +122,7 @@ def obstacle_barrier(d: float = 3.0, poles: tuple = (-30.0, -30.0)) -> Barrier:
     h = e^2 + s^2 - d^2 with analytic gradient; degree 2 along the lateral
     dynamics with gains placed at the given poles.
     """
-    if d <= 0.0:
+    if not 0.0 < d < math.inf:
         raise ValueError(f"obstacle radius must be positive, got {d}")
     dsq = d * d
 

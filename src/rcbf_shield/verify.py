@@ -65,11 +65,9 @@ class CheckResult:
     detail: str
 
 
-def _result(name: str, measured: float, bound: float, extra: str = "") -> CheckResult:
-    note = f"worst {measured:.3g} vs bound {bound:.3g}"
-    if extra:
-        note += f"; {extra}"
-    return CheckResult(name, bool(measured <= bound), note)
+def _result(name: str, measured: float, bound: float) -> CheckResult:
+    return CheckResult(name, bool(measured <= bound),
+                       f"worst {measured:.3g} vs bound {bound:.3g}")
 
 
 def _random_direction(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -81,8 +79,9 @@ def _random_direction(rng: np.random.Generator, m: int) -> np.ndarray:
     return v / n
 
 
-def check_worst_case_oracle(n_instances: int = 100, samples: int = 10_000) -> CheckResult:
-    """Closed-form ball minimizer vs dense sampling of admissible w."""
+def check_worst_case_oracle(n_instances: int = 100) -> CheckResult:
+    """Closed-form ball minimizer vs dense sampling of admissible w
+    (`worst_case_oracle`'s 10,000 points)."""
     rng = np.random.default_rng(11)
     worst_beaten = 0.0
     worst_gap_rel = 0.0
@@ -93,7 +92,7 @@ def check_worst_case_oracle(n_instances: int = 100, samples: int = 10_000) -> Ch
         theta = rng.uniform(0.05, 0.9)
         w_star = worst_case_input(u, a, theta)
         exact = float(a @ (u + w_star))
-        w_best = worst_case_oracle(u, a, theta, samples=samples)
+        w_best = worst_case_oracle(u, a, theta)
         sampled = float(a @ (u + w_best))
         budget = theta * np.linalg.norm(u) * np.linalg.norm(a)
         worst_beaten = max(worst_beaten, exact - sampled)
@@ -105,11 +104,12 @@ def check_worst_case_oracle(n_instances: int = 100, samples: int = 10_000) -> Ch
     return CheckResult("worst_case_oracle", beaten_ok and gap_ok, detail)
 
 
-def check_multiplier_identity(n_instances: int = 1000) -> CheckResult:
-    """Stationarity a + 2*lambda*w* = 0 of the inner ball problem."""
+def check_multiplier_identity() -> CheckResult:
+    """Stationarity a + 2*lambda*w* = 0 of the inner ball problem, on 1000
+    instances."""
     rng = np.random.default_rng(12)
     worst = 0.0
-    for _ in range(n_instances):
+    for _ in range(1000):
         m = int(rng.integers(1, 4))
         u = _random_direction(rng, m) * rng.uniform(0.1, 10.0)
         a = _random_direction(rng, m) * rng.uniform(0.1, 10.0)
@@ -337,12 +337,13 @@ def check_split_agreement(n_instances: int = 1000) -> CheckResult:
                        detail + _dump_first(wrong))
 
 
-def check_margin_soundness(n_instances: int = 1000, w_samples: int = 2000) -> CheckResult:
-    """Reported robust margin must lower-bound every admissible realization."""
+def check_margin_soundness() -> CheckResult:
+    """Reported robust margin must lower-bound every admissible realization:
+    1000 instances, 2000 realizations drawn for each."""
     rng = np.random.default_rng(15)
     worst_margin = 0.0
     worst_gap = 0.0
-    for _ in range(n_instances):
+    for _ in range(1000):
         m = int(rng.integers(1, 4))
         p = rng.uniform(-5.0, 5.0)
         a = _random_direction(rng, m) * rng.uniform(0.1, 10.0)
@@ -351,9 +352,9 @@ def check_margin_soundness(n_instances: int = 1000, w_samples: int = 2000) -> Ch
         res = filter_auto(p, a, u0, theta)
         worst_margin = max(worst_margin, -res.margin)
         radius = theta * np.linalg.norm(res.u)
-        dirs = rng.normal(size=(w_samples, m))
+        dirs = rng.normal(size=(2000, m))
         norms = np.maximum(np.linalg.norm(dirs, axis=1), 1e-300)
-        radii = radius * rng.uniform(0.0, 1.0, size=w_samples) ** (1.0 / m)
+        radii = radius * rng.uniform(0.0, 1.0, size=2000) ** (1.0 / m)
         ws = dirs / norms[:, None] * radii[:, None]
         realized = p + (res.u + ws) @ a
         worst_gap = max(worst_gap, float(res.margin - realized.min()))
@@ -430,11 +431,12 @@ def check_wide_scale_stress(n_instances: int = 200) -> CheckResult:
                        detail + _dump_first(wrong))
 
 
-def check_theta_zero_reduction(n_instances: int = 1000) -> CheckResult:
-    """At theta=0 the filter is the halfspace projection of u0."""
+def check_theta_zero_reduction() -> CheckResult:
+    """At theta=0 the filter is the halfspace projection of u0, on 1000
+    instances."""
     rng = np.random.default_rng(16)
     worst = 0.0
-    for _ in range(n_instances):
+    for _ in range(1000):
         m = int(rng.integers(1, 4))
         p = rng.uniform(-5.0, 5.0)
         a = _random_direction(rng, m) * rng.uniform(0.1, 10.0)
@@ -448,8 +450,8 @@ def check_theta_zero_reduction(n_instances: int = 1000) -> CheckResult:
     return _result("theta_zero_reduction", worst, 1e-8)
 
 
-def _march(dt: float, horizon: float = 0.5) -> np.ndarray:
-    # open loop with the input held fixed: the smooth problem that exposes
+def _march(dt: float) -> np.ndarray:
+    # 0.5 s open loop with the input held fixed: the smooth problem that exposes
     # the integrator's own order (the closed loop replans every step and is
     # limited by the hold, not by the integrator)
     dyn = lateral_dynamics()
@@ -457,7 +459,7 @@ def _march(dt: float, horizon: float = 0.5) -> np.ndarray:
     u = np.array([-2.82])
     w = np.array([0.7])
     x = X0.astype(float).copy()
-    for _ in range(round(horizon / dt)):
+    for _ in range(round(0.5 / dt)):
         x = step_rk4(dyn, unc, x, u, w, dt)
     return x
 
@@ -472,11 +474,12 @@ def check_rk4_order() -> CheckResult:
                        f"error ratio {ratio:.2f} on dt halving (bound 8)")
 
 
-def check_determinism(horizon: float = 0.5) -> CheckResult:
-    """Same scenario twice must give byte-identical csv text."""
+def check_determinism() -> CheckResult:
+    """Same scenario twice (the `fig3_recbf` preset, 2 s) must give
+    byte-identical csv text."""
     from .output import trajectory_csv_text
 
-    sc = load_scenario("fig3_recbf", {"simulation.horizon": horizon})
+    sc = load_scenario("fig3_recbf")
     text_a = trajectory_csv_text(simulate(sc))
     text_b = trajectory_csv_text(simulate(sc))
     same = text_a == text_b
@@ -501,7 +504,7 @@ _FULL: List[Callable[[], CheckResult]] = [
     check_wide_scale_stress,
     check_theta_zero_reduction,
     check_rk4_order,
-    lambda: check_determinism(horizon=2.0),
+    check_determinism,
 ]
 
 

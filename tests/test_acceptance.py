@@ -43,7 +43,7 @@ def fig3_runs():
 
 def test_01_worst_case_oracle():
     t0 = time.perf_counter()
-    res = check_worst_case_oracle(n_instances=100, samples=10_000)
+    res = check_worst_case_oracle(n_instances=100)
     elapsed = time.perf_counter() - t0
     _report(res.passed and elapsed < 5.0,
             f"worst-case oracle: closed form vs 1e4 sampled w on 100 instances; "
@@ -51,7 +51,7 @@ def test_01_worst_case_oracle():
 
 
 def test_02_multiplier_identity():
-    res = check_multiplier_identity(n_instances=1000)
+    res = check_multiplier_identity()
     _report(res.passed,
             f"multiplier identity w* = -a/(2 lambda*) on 1e3 instances; "
             f"{res.detail} (relative)")
@@ -151,13 +151,13 @@ def test_07_margin_soundness_along_run(fig3_runs):
 
 
 def test_08_theta_zero_reduction():
-    res = check_theta_zero_reduction(n_instances=1000)
+    res = check_theta_zero_reduction()
     _report(res.passed,
             f"theta = 0 collapses to the halfspace projection: {res.detail}")
 
 
 def test_09_integrator_order_and_determinism():
     rk4 = check_rk4_order()
-    det = check_determinism(horizon=2.0)
+    det = check_determinism()
     _report(rk4.passed and det.passed,
             f"integrator order and determinism: {rk4.detail}; {det.detail}")

@@ -1,5 +1,6 @@
 """Barrier constraint assembly for relative degree 1 and 2."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -25,17 +26,17 @@ def test_pole_gains_frozen():
 
 
 def test_pole_gains_reject_unstable():
-    with pytest.raises(ValueError):
-        pole_gains(0.0, -1.0)
-    with pytest.raises(ValueError):
-        pole_gains(-1.0, 2.0)
+    for poles in ((0.0, -1.0), (-1.0, 2.0), (math.nan, -30.0), (-30.0, -math.inf)):
+        with pytest.raises(ValueError, match="poles must be negative"):
+            pole_gains(*poles)
 
 
 def test_class_k_positive_rate_only():
     eta = linear_class_k(2.5)
     assert eta(3.0) == pytest.approx(7.5)
-    with pytest.raises(ValueError):
-        linear_class_k(0.0)
+    for gamma in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="decrease rate must be positive"):
+            linear_class_k(gamma)
 
 
 def _double_integrator():

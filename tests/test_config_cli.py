@@ -1,8 +1,11 @@
 """Scenario files and the command line: errors carry line numbers, exit
 codes distinguish config problems from infeasible runs, outputs are stable."""
 
+import math
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -73,9 +76,48 @@ def test_range_checks_name_the_key(tmp_path):
     with pytest.raises(ConfigError, match="adversary"):
         load_scenario(_write(tmp_path, "[simulation]\nadversary = chaos\n"))
     # a level run twice would rewrite its csv and repeat its summary row
-    for levels in ("0.2, 0.4, 0.2", "0.2, 0.2000001"):  # the second: one csv name
-        with pytest.raises(ConfigError, match=r"^simulation\.sweep_thetas repeats the level 0\.2$"):
+    # the second: one csv name; the third: one level, as -0.0 + 0.0 is 0.0
+    for levels, level in (("0.2, 0.4, 0.2", r"0\.2"), ("0.2, 0.2000001", r"0\.2"),
+                          ("0.0, -0.0", "0")):
+        with pytest.raises(ConfigError, match=rf"^simulation\.sweep_thetas repeats the level {level}$"):
             load_scenario(_write(tmp_path, f"[simulation]\nsweep_thetas = {levels}\n"))
+
+
+@pytest.mark.parametrize("overrides, section", [
+    ({"system.mass": math.nan}, "system"),
+    ({"system.speed": math.inf}, "system"),
+    ({"system.corner_front": math.nan}, "system"),
+    ({"barrier.radius": math.nan}, "barrier"),
+    ({"barrier.radius": math.inf}, "barrier"),
+    ({"barrier.poles": (math.nan, -30.0)}, "barrier"),
+    ({"uncertainty.scale": math.inf}, "uncertainty"),
+    ({"controller.gain": (math.nan, 0.0, 0.0, 0.0)}, "controller"),
+    ({"controller.reference": (math.inf, 0.0, 0.0, 0.0)}, "controller"),
+    ({"simulation.adversary": "gain_sweep", "simulation.gain_freq": math.nan},
+     "simulation.gain_freq"),
+    ({"simulation.adversary": "gain_sweep", "simulation.gain_phase": math.inf},
+     "simulation.gain_freq"),
+    ({"simulation.adversary": "saturation", "simulation.sat_level": 20.0,
+      "simulation.sat_range": math.nan}, "simulation.sat_level"),
+])
+def test_a_non_finite_setting_fails_at_load_naming_its_section(overrides, section):
+    # NaN and +-inf fail the model's checks when the scenario is built, not
+    # later as non-finite constraint data or an h(x0) that is not finite
+    with pytest.raises(ConfigError, match=rf"^{section}: "):
+        load_scenario("fig3_recbf", overrides)
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("horizon, steps", [("1e15", "1e+18"), ("1e300", "1e+303")])
+def test_a_run_too_long_to_record_is_an_error(tmp_path, capsys, command, horizon, steps):
+    # 1e18 steps: 8e18 bytes per record array, past any 64-bit address
+    # space (numpy's MemoryError); 1e303 steps: past numpy's size limit (its
+    # ValueError).  Both requests fail without allocating
+    out = tmp_path / "run"
+    assert main([command, "--horizon", horizon, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: horizon / dt = {steps} steps are too many to record"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -355,6 +397,15 @@ def test_design_theta_override(tmp_path):
     code = main(["simulate", "--scenario", "fig3_ecbf", "--design-theta", "0.5",
                  "--horizon", "0.1", "--out", out])
     assert code == EXIT_OK
+
+
+def test_only_the_verify_command_loads_the_self_checks():
+    # simulate and sweep never run verify.py, so importing the cli skips it
+    src = os.path.dirname(os.path.dirname(rcbf_shield.cli.__file__))
+    probe = "import sys, rcbf_shield.cli; print('rcbf_shield.verify' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_verify_quick_passes(capsys):

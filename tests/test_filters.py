@@ -322,7 +322,7 @@ _BOXED_BALL_CASES = {
 def test_boxed_ball_route_frozen_and_against_oracle(case):
     (p, a, u0, theta, u_max), expected = _BOXED_BALL_CASES[case]
     a, u0, u_max = np.array(a), np.array(u0), np.array(u_max)
-    res = filter_auto(p, a, u0, theta, u_max=u_max, mode="socp")
+    res = filter_socp(p, a, u0, theta, u_max=u_max)
     assert res.margin >= 0.0 and np.all(np.abs(res.u) <= u_max)
     assert res.u == pytest.approx(expected, rel=1e-12, abs=1e-15)
     oracle = solve_socp(ball_program(p, a, u0, theta, u_max))
@@ -396,10 +396,7 @@ def test_auto_dispatch(monkeypatch):
     filter_auto(p, a, u0, 0.5)  # one channel: the interval
     filter_auto(p, np.array([1.0, 0.5]), np.zeros(2), 0.5)  # several: the ball
     filter_auto(p, a, u0, np.array([0.5]))  # per-channel levels: the split
-    filter_auto(p, a, u0, 0.5, mode="socp")
-    assert calls == ["filter_scalar", "filter_socp", "filter_qp_channels", "filter_socp"]
-    with pytest.raises(ValueError):
-        filter_auto(p, a, u0, 0.5, mode="nope")
+    assert calls == ["filter_scalar", "filter_socp", "filter_qp_channels"]
 
 
 def test_small_continuity_in_p():
@@ -1261,6 +1258,16 @@ def test_split_search_takes_few_evaluations(monkeypatch):
         assert filter_qp_channels(p, a, u0, theta, u_max=ub).margin >= 0.0
     assert len(evals) > 500, len(evals)
     assert max(evals) <= 30 and sum(evals) <= 5 * len(evals), (max(evals), sum(evals) / len(evals))
+    # the channel sits clamped at -b, then at 0, so g is flat on two
+    # stretches: each is crossed in one step, where doubling took 37
+    # evaluations.  A channel with a_i = 0 never moves and ends no stretch.
+    p, a, u0, theta, ub = (-4.525330960738214e-06, 0.02601907078772417, -8.393344504392426,
+                           0.4501420207205075, 0.021459689875079402)
+    for zero_u0 in (None, 0.0, 5.0):
+        rows = [(a, u0, theta, ub)] + ([] if zero_u0 is None else [(0.0, zero_u0, 0.3, 1.0)])
+        evals.clear()
+        res = filter_qp_channels(p, *map(list, zip(*rows)))
+        assert res.margin >= 0.0 and evals[0] <= 8, (zero_u0, evals)
 
 
 def test_an_overflowing_split_slope_raises_filter_error():

@@ -1,5 +1,7 @@
 """Sector normalization, worst-case geometry, and nonlinearity fixtures."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,8 +43,12 @@ def test_sector_bound_rejects_bad_slopes():
         SectorBound(0.5, 0.9)
     with pytest.raises(ValueError):
         NormalizedUncertainty(theta=1.0, scale=1.0)
-    with pytest.raises(ValueError):
-        NormalizedUncertainty(theta=0.5, scale=0.0)
+    for scale in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="input gain must be positive"):
+            NormalizedUncertainty(theta=0.5, scale=scale)
+    for beta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="upper sector slope"):
+            SectorBound(0.5, beta)
 
 
 def test_qc_value_outside_sector():
@@ -126,6 +132,12 @@ def test_saturation_fixture_validates_range():
     bound = SectorBound(0.5, 1.5)
     with pytest.raises(ValueError):
         saturation_in_sector(0.4, 1.0, bound)  # level < alpha * range
+    for level, input_range in ((math.nan, 1.0), (0.6, math.nan), (0.6, math.inf)):
+        with pytest.raises(ValueError, match="must be positive"):
+            saturation_in_sector(level, input_range, bound)
+    for freq, phase in ((math.nan, 0.0), (math.inf, 0.0), (3.0, -math.inf)):
+        with pytest.raises(ValueError, match="must be finite"):
+            time_varying_gain(freq, phase)
     nl = saturation_in_sector(0.6, 1.0, bound)
     with pytest.raises(ValueError):
         apply_nonlinearity(nl, bound, np.array([1.5]))  # beyond validated range

@@ -9,7 +9,14 @@ import pytest
 
 from rcbf_shield.barriers import Barrier, Dynamics, linear_class_k
 from rcbf_shield.config import scenario_presets
-from rcbf_shield.filters import InfeasibleError, filter_auto, robust_margin
+from rcbf_shield.filters import (
+    InfeasibleError,
+    filter_auto,
+    filter_qp_channels,
+    filter_scalar,
+    filter_socp,
+    robust_margin,
+)
 from rcbf_shield.sectors import (
     NormalizedUncertainty,
     SectorBound,
@@ -282,7 +289,9 @@ def _reference_simulate(sc):
             margins[k] = robust_margin(p, a, u0, unc.theta)
         else:
             try:
-                res = filter_auto(p, a, u0, unc.theta, u_max=sc.u_max, mode=sc.filter_mode)
+                route = {"auto": filter_auto, "scalar": filter_scalar, "socp": filter_socp,
+                         "qp": filter_qp_channels}[sc.filter_mode]
+                res = route(p, a, u0, unc.theta, u_max=sc.u_max)
                 u, margins[k], altered[k] = res.u, res.margin, res.altered
             except InfeasibleError:
                 margins[k] = robust_margin(p, a, u0, unc.theta)
@@ -369,6 +378,38 @@ def _parity_scenarios():
         yield replace(base, filter_mode=mode)
     # degree 1 with no grad: central differences of h
     yield replace(base, barrier=replace(bar, grad=None), name="mimo_fd")
+
+
+def _route_calls(monkeypatch, sc) -> set:
+    """The names of the route functions that sim looks up which a run of
+    sc calls."""
+    called = set()
+    for route in (filter_auto, filter_scalar, filter_socp, filter_qp_channels):
+        def recording(*args, route=route, **kwargs):
+            called.add(route.__name__)
+            return route(*args, **kwargs)
+        monkeypatch.setattr(f"rcbf_shield.sim.{route.__name__}", recording)
+    simulate(sc)
+    return called
+
+
+def test_run_calls_the_route_its_mode_names(monkeypatch):
+    # one channel: socp and qp take their route on arrays, while auto and
+    # scalar run the interval on float lanes and call no route function
+    recbf = replace(scenario_presets()["fig3_recbf"], horizon=0.05, u_max=0.05)
+    expected = {"socp": {"filter_socp"}, "qp": {"filter_qp_channels"},
+                "auto": set(), "scalar": set()}
+    for mode, routes in expected.items():
+        assert _route_calls(monkeypatch, replace(recbf, filter_mode=mode)) == routes, mode
+    # two inputs: auto dispatches on arrays
+    dyn, bar = _integrator_2d()
+    mimo = Scenario(dynamics=dyn, barrier=bar,
+                    uncertainty=NormalizedUncertainty(theta=0.4, scale=0.9),
+                    controller=_integrator_control, adversary=Adversary(kind="worst_case"),
+                    x0=np.array([-0.5, 0.0]), dt=1e-2, horizon=0.1)
+    assert _route_calls(monkeypatch, mimo) == {"filter_auto"}
+    with pytest.raises(ValueError, match="^unknown filter mode 'nope'$"):
+        replace(mimo, filter_mode="nope")
 
 
 def test_simulate_matches_the_reference_loop_bit_for_bit():

@@ -67,7 +67,7 @@ def test_infeasible_pair_certificate():
     res = solve_socp(prog)
     assert res.status == STATUS_INFEASIBLE
     assert np.isnan(res.z).all() and res.primal_residual == math.inf
-    outcome, _, y, _ = _hsd(prog, 1e-8, 100)
+    outcome, _, y, _ = _hsd(prog)
     assert outcome == "infeasible"
     for yi in (y[:3], y[3:]):
         assert yi[0] > np.linalg.norm(yi[1:])

@@ -1,6 +1,8 @@
 """Lateral vehicle model: frozen matrix entries, barrier spot values, and
 baseline regulation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -39,10 +41,19 @@ def test_state_matrix_spot_values():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        VehicleParams(mass=-1.0)
-    with pytest.raises(ValueError):
-        VehicleParams(corner_front=1.0)
+    for value in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be positive"):
+            VehicleParams(mass=value)
+        with pytest.raises(ValueError, match="must be positive"):
+            VehicleParams(speed=value)
+    for value in (1.0, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="enter negative"):
+            VehicleParams(corner_front=value)
+        with pytest.raises(ValueError, match="enter negative"):
+            VehicleParams(corner_rear=value)
+    for radius in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="obstacle radius must be positive"):
+            obstacle_barrier(radius)
 
 
 def test_lqr_controller_frozen():
@@ -53,6 +64,10 @@ def test_lqr_controller_frozen():
     assert tracked(np.zeros(5)) == pytest.approx(1.41)
     with pytest.raises(ValueError):
         lqr_controller(gain=[1.0, 2.0])
+    with pytest.raises(ValueError, match="gain must be finite"):
+        lqr_controller(gain=[math.nan, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="reference must be finite"):
+        lqr_controller(reference=[math.inf, 0.0, 0.0, 0.0])
 
 
 def test_obstacle_barrier_spot_values():
